@@ -33,13 +33,14 @@ predictions never rebuild indexes and never re-probe the database.
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 from typing import Iterable, Sequence
 
 from ..constraints.mds import MatchingDependency
 from ..db.instance import DatabaseInstance
 from ..db.sampling import Sampler
 from ..db.schema import RelationSchema
-from ..db.sharding import ShardedInstance
+from ..db.sharding import ShardedInstance, relation_stamp
 from ..logic.compiled import ClauseCompiler
 from ..logic.subsumption import SubsumptionChecker
 from ..similarity.composite import SimilarityOperator
@@ -76,6 +77,11 @@ class _MdIndexCache:
     the paper's datasets) the database column, its blocker, and every scored
     pair are kept here; per-example-set indexes are assembled from the score
     cache, with only never-seen example values scored incrementally.
+
+    All of that state derives from the MD's database relations, so it is
+    keyed on their per-relation stamps (:func:`~repro.db.sharding.relation_stamp`)
+    and dropped — to be re-scored on demand — when a write moves either one.
+    Writes to other relations leave it in place.
     """
 
     def __init__(
@@ -110,9 +116,12 @@ class _MdIndexCache:
         self._static: dict[tuple[int, float], SimilarityIndex] = {}
         #: full-build cache for the (rare) target-to-target MDs.
         self._full: dict[tuple[frozenset, frozenset, int, float], SimilarityIndex] = {}
+        #: stamps of the MD's database relations when the state above was scored.
+        self._stamps = self._relation_stamps()
 
     # ------------------------------------------------------------------ #
     def index_for(self, examples: Sequence[Example], top_k: int, threshold: float) -> SimilarityIndex:
+        self._drop_if_stale()
         operator = SimilarityOperator(measure=self.measure, threshold=threshold)
         if not (self._left_is_target or self._right_is_target):
             key = (top_k, threshold)
@@ -140,7 +149,9 @@ class _MdIndexCache:
         matches: list[SimilarityMatch] = []
         # Sorted so the match order (and therefore top-k tie-breaking inside
         # the assembled index) is independent of set hash order.
-        for value in sorted(varying, key=repr):
+        ordered = sorted(varying, key=repr)
+        self._score_unseen(ordered)
+        for value in ordered:
             matches.extend(self._scored_pairs(value))
         return SimilarityIndex.from_scored_matches(
             matches,
@@ -177,8 +188,25 @@ class _MdIndexCache:
             self._blocker.add_all(self._fixed_column())
         return self._blocker
 
-    def _scored_pairs(self, value: object) -> tuple[SimilarityMatch, ...]:
-        """All blocked candidate pairs of one varying value, scored once and cached.
+    def _relation_stamps(self) -> tuple[tuple[object, ...], ...]:
+        return tuple(
+            relation_stamp(self.database.relation(name))
+            for name in (self.md.left_relation, self.md.right_relation)
+            if name != self.target.name
+        )
+
+    def _drop_if_stale(self) -> None:
+        """Forget every score and index built before a write to the MD's relations."""
+        stamps = self._relation_stamps()
+        if stamps != self._stamps:
+            self._stamps = stamps
+            self._blocker = None
+            self._fixed_distinct = None
+            self._scored = {}
+            self._static = {}
+
+    def _score_unseen(self, values: Sequence[object]) -> None:
+        """Score the blocked candidate pairs of every value not yet cached, in one batch.
 
         Q-gram candidacy is symmetric (the pair shares ``min_shared`` grams no
         matter which side is indexed), so blocking the fixed database column
@@ -186,21 +214,29 @@ class _MdIndexCache:
         ``build`` would score; orientation of the stored match (and of the
         measure call) follows the MD's left→right declaration.
         """
-        key = self._interner.intern(value)
-        cached = self._scored.get(key)
-        if cached is None:
-            blocker = self._blocker_over_fixed()
-            pairs = []
-            for candidate in blocker.candidates(value):
-                if self._left_is_target:
-                    left, right = value, candidate
-                else:
-                    left, right = candidate, value
-                score = 1.0 if left == right else self.measure.similarity(left, right)
-                pairs.append(SimilarityMatch(left, right, score))
-            cached = tuple(pairs)
-            self._scored[key] = cached
-        return cached
+        unseen: dict[object, object] = {}  # value id → the first value seen with it
+        for value in values:
+            key = self._interner.intern(value)
+            if key not in self._scored:
+                unseen.setdefault(key, value)
+        if not unseen:
+            return
+        blocker = self._blocker_over_fixed()
+        candidates = {key: blocker.candidates(value) for key, value in unseen.items()}
+        lefts: list[object] = []
+        rights: list[object] = []
+        for key, value in unseen.items():
+            for candidate in candidates[key]:
+                left, right = (value, candidate) if self._left_is_target else (candidate, value)
+                lefts.append(left)
+                rights.append(right)
+        matches = map(SimilarityMatch, lefts, rights, self.measure.similarity_many(zip(lefts, rights)))
+        for key, partners in candidates.items():
+            self._scored[key] = tuple(islice(matches, len(partners)))
+
+    def _scored_pairs(self, value: object) -> tuple[SimilarityMatch, ...]:
+        """All blocked candidate pairs of one varying value, as :meth:`_score_unseen` cached them."""
+        return self._scored[self._interner.intern(value)]
 
 
 class DatabasePreparation:

@@ -60,6 +60,7 @@ __all__ = [
     "ValueInternerView",
     "merge_equality",
     "merge_membership",
+    "relation_stamp",
     "shard_of",
 ]
 
@@ -369,12 +370,14 @@ class ShardedRelation:
 # --------------------------------------------------------------------------- #
 # relation stamps: which in-place mutations can be expressed as appends
 # --------------------------------------------------------------------------- #
-def _relation_stamp(relation: RelationInstance | OverlayRelation) -> tuple[object, ...]:
+def relation_stamp(relation: RelationInstance | OverlayRelation) -> tuple[object, ...]:
     """Per-relation mutation stamp mirroring the instances' own stamps.
 
     Plain relations are insert-only, so the row count witnesses every
     mutation; overlays add their delta composition (the same facts
     :meth:`repro.db.overlay.OverlayInstance.mutation_stamp` records).
+    Caches derived from one relation (the shards here, the similarity
+    scoring state of :mod:`repro.core.session`) compare it to stay current.
     """
     if isinstance(relation, OverlayRelation):
         return (
@@ -471,7 +474,7 @@ class ShardedInstance:
         """
         changed = False
         for name, relation in self.database.relations().items():
-            stamp = _relation_stamp(relation)
+            stamp = relation_stamp(relation)
             previous = self._stamps.get(name)
             if stamp == previous:
                 continue

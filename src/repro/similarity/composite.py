@@ -11,6 +11,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .length import LengthSimilarity
 from .swg import SmithWatermanGotoh
@@ -31,14 +32,46 @@ class CompositeSimilarity:
     length: LengthSimilarity = field(default_factory=LengthSimilarity)
 
     def similarity(self, left: object, right: object) -> float:
+        score = self._without_alignment(left, right)
+        if score is not None:
+            return score
+        left_str, right_str = str(left), str(right)
+        return (self.alignment.similarity(left_str, right_str) + self.length.similarity(left_str, right_str)) / 2.0
+
+    def similarity_many(self, pairs: Iterable[tuple[object, object]]) -> list[float]:
+        """:meth:`similarity` of every pair, aligning all string pairs in one batch.
+
+        Equal (``==``) to ``[similarity(l, r) for l, r in pairs]``: ``None``,
+        equal and numeric pairs keep their rules, and the rest are scored by
+        :meth:`SmithWatermanGotoh.similarity_many`.
+        """
+        scores: list[float | None] = []
+        lefts: list[str] = []
+        rights: list[str] = []
+        for left, right in pairs:
+            score = self._without_alignment(left, right)
+            scores.append(score)
+            if score is None:
+                lefts.append(str(left))
+                rights.append(str(right))
+        alignments = self.alignment.similarity_many(zip(lefts, rights))
+        aligned = iter(
+            [
+                (alignment + self.length.similarity(left, right)) / 2.0
+                for left, right, alignment in zip(lefts, rights, alignments)
+            ]
+        )
+        return [next(aligned) if score is None else score for score in scores]
+
+    def _without_alignment(self, left: object, right: object) -> float | None:
+        """The score of a pair that is not compared as strings; ``None`` for one that is."""
         if left is None or right is None:
             return 0.0
         if left == right:
             return 1.0
         if isinstance(left, (int, float)) and isinstance(right, (int, float)) and not isinstance(left, bool) and not isinstance(right, bool):
             return self._numeric_similarity(float(left), float(right))
-        left_str, right_str = str(left), str(right)
-        return (self.alignment.similarity(left_str, right_str) + self.length.similarity(left_str, right_str)) / 2.0
+        return None
 
     @staticmethod
     def _numeric_similarity(left: float, right: float) -> float:

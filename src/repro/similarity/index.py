@@ -72,20 +72,25 @@ class SimilarityIndex:
     # construction
     # ------------------------------------------------------------------ #
     def build(self, left_values: Iterable[object], right_values: Iterable[object]) -> "SimilarityIndex":
-        """Score blocked pairs between the two columns and keep the top ``k_m``."""
+        """Score blocked pairs between the two columns and keep the top ``k_m``.
+
+        Every blocked pair is scored in one batch
+        (:meth:`~repro.similarity.composite.CompositeSimilarity.similarity_many`).
+        """
         left_distinct = {value for value in left_values if value is not None}
         right_distinct = {value for value in right_values if value is not None}
 
         blocker = QGramBlocker(q=self.blocker_q, min_shared=self.min_shared_grams)
         blocker.add_all(right_distinct)
 
-        def scored() -> Iterable[SimilarityMatch]:
-            for left_value in left_distinct:
-                for right_value in blocker.candidates(left_value):
-                    score = 1.0 if left_value == right_value else self.operator.score(left_value, right_value)
-                    yield SimilarityMatch(left_value, right_value, score)
-
-        return self.populate(scored())
+        lefts: list[object] = []
+        rights: list[object] = []
+        for left_value in sorted(left_distinct, key=repr):
+            for right_value in blocker.candidates(left_value):
+                lefts.append(left_value)
+                rights.append(right_value)
+        scores = self.operator.measure.similarity_many(zip(lefts, rights))
+        return self.populate(map(SimilarityMatch, lefts, rights, scores))
 
     def populate(self, matches: Iterable[SimilarityMatch]) -> "SimilarityIndex":
         """Fill the index from pre-scored left→right matches and keep the top ``k_m``.

@@ -10,13 +10,16 @@ contracts:
 * fits through a shared :class:`DatabasePreparation` must learn exactly what
   isolated fits learn;
 * a preparation is rejected when offered to a session over a different
-  database instance.
+  database instance;
+* a write to an MD's relation re-scores that MD's cached pairs, and a write
+  anywhere else re-scores nothing.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.constraints import MatchingDependency
 from repro.core import (
     DatabasePreparation,
     DLearn,
@@ -24,6 +27,9 @@ from repro.core import (
     ExampleSet,
     LearningSession,
 )
+from repro.data.registry import generate
+from repro.data.synthetic import ScenarioSpec
+from repro.db import AttributeType, RelationSchema
 from repro.similarity.composite import CompositeSimilarity
 from repro.similarity.index import SimilarityIndex
 
@@ -31,6 +37,27 @@ from repro.similarity.index import SimilarityIndex
 @pytest.fixture
 def movie_model(movie_problem, fast_config):
     return DLearn(fast_config).fit(movie_problem)
+
+
+@pytest.fixture
+def scored_pairs(monkeypatch):
+    """Counts pairs scored through either the scalar or the batched measure."""
+    count = {"pairs": 0}
+    original_one = CompositeSimilarity.similarity
+    original_many = CompositeSimilarity.similarity_many
+
+    def counting_similarity(self, left, right):
+        count["pairs"] += 1
+        return original_one(self, left, right)
+
+    def counting_similarity_many(self, pairs):
+        pairs = list(pairs)
+        count["pairs"] += len(pairs)
+        return original_many(self, pairs)
+
+    monkeypatch.setattr(CompositeSimilarity, "similarity", counting_similarity)
+    monkeypatch.setattr(CompositeSimilarity, "similarity_many", counting_similarity_many)
+    return count
 
 
 class TestPredictionReuse:
@@ -55,39 +82,21 @@ class TestPredictionReuse:
         movie_model.predict(list(reversed(examples)))  # same values, any order
         assert build_calls == 0
 
-    def test_second_predict_scores_no_pairs(self, movie_model, monkeypatch):
+    def test_second_predict_scores_no_pairs(self, movie_model, scored_pairs):
         examples = [Example(("m1",), True), Example(("m4",), False)]
         movie_model.predict(examples)
-
-        score_calls = 0
-        original = CompositeSimilarity.similarity
-
-        def counting_similarity(self, left, right):
-            nonlocal score_calls
-            score_calls += 1
-            return original(self, left, right)
-
-        monkeypatch.setattr(CompositeSimilarity, "similarity", counting_similarity)
+        scored_pairs["pairs"] = 0
         movie_model.predict(examples)
-        assert score_calls == 0
+        assert scored_pairs["pairs"] == 0
 
-    def test_unseen_values_are_scored_incrementally(self, movie_model, monkeypatch):
+    def test_unseen_values_are_scored_incrementally(self, movie_model, scored_pairs):
         movie_model.predict([Example(("m1",), True)])
-        score_calls = 0
-        original = CompositeSimilarity.similarity
-
-        def counting_similarity(self, left, right):
-            nonlocal score_calls
-            score_calls += 1
-            return original(self, left, right)
-
-        monkeypatch.setattr(CompositeSimilarity, "similarity", counting_similarity)
         # A fresh example value triggers scoring once...
         movie_model.predict([Example(("m1",), True), Example(("m2",), True)])
-        after_first = score_calls
+        after_first = scored_pairs["pairs"]
         # ...and never again.
         movie_model.predict([Example(("m2",), True)])
-        assert score_calls == after_first
+        assert scored_pairs["pairs"] == after_first
 
     def test_reused_session_classifies_like_a_fresh_engine(self, movie_model):
         examples = [
@@ -159,3 +168,65 @@ class TestSharedPreparation:
         assert model.session is session
         baseline = learner.fit(movie_problem)
         assert [str(c) for c in model.clauses] == [str(c) for c in baseline.clauses]
+
+
+def _indexes_equal(pooled: dict[str, SimilarityIndex], fresh: dict[str, SimilarityIndex]) -> bool:
+    return pooled.keys() == fresh.keys() and all(
+        pooled[name]._forward == fresh[name]._forward and pooled[name]._backward == fresh[name]._backward
+        for name in pooled
+    )
+
+
+class TestWritesToMdColumns:
+    """The per-MD scoring caches follow writes to the MD's own relations."""
+
+    @pytest.fixture
+    def dirty_world(self):
+        spec = ScenarioSpec(n_entities=24, n_positives=6, n_negatives=6, seed=3, md_drift=0.5)
+        return generate("synthetic", spec=spec)
+
+    def test_insert_into_md_column_reaches_cached_preparation(self, dirty_world):
+        problem = dirty_world.problem()
+        preparation = DatabasePreparation.from_problem(problem)
+        preparation.similarity_indexes_for(problem.mds, problem.examples, top_k=3, threshold=0.6)
+        name = sorted(problem.database.relation("syn_a_entities").distinct_values("name"))[0]
+        near_duplicate = name + "!"
+        problem.database.insert("syn_b_entities", ("b_near", near_duplicate))
+
+        pooled = preparation.similarity_indexes_for(problem.mds, problem.examples, top_k=3, threshold=0.6)
+        fresh = problem.build_similarity_indexes(top_k=3, threshold=0.6)
+        assert near_duplicate in pooled["md_syn_names"].partners_of(name)
+        assert _indexes_equal(pooled, fresh)
+
+    def test_write_to_other_relations_scores_nothing(self, dirty_world, scored_pairs):
+        problem = dirty_world.problem()
+        preparation = DatabasePreparation.from_problem(problem)
+        first = preparation.similarity_indexes_for(problem.mds, problem.examples, top_k=3, threshold=0.6)
+        assert scored_pairs["pairs"] > 0
+        scored_pairs["pairs"] = 0
+        problem.database.insert("syn_a_categories", ("a_new", "c0"))
+        problem.database.insert("syn_b_flags", ("b_new", "yes"))
+        again = preparation.similarity_indexes_for(problem.mds, problem.examples, top_k=3, threshold=0.6)
+        assert scored_pairs["pairs"] == 0
+        assert again["md_syn_names"] is first["md_syn_names"]
+
+    def test_insert_into_fixed_column_of_target_md(self, movie_database, scored_pairs):
+        # An MD from the target to a database column: the cache keeps the
+        # database column's blocker and every scored pair per example value.
+        target = RelationSchema.of("titleQuery", [("title", AttributeType.STRING)])
+        md = MatchingDependency.simple("md_query_titles", "titleQuery", "title", "bom_movies", "title")
+        examples = [Example(("Superbad",), True), Example(("Zoolander",), False)]
+        preparation = DatabasePreparation(movie_database, target)
+        preparation.similarity_indexes_for([md], examples, top_k=2, threshold=0.6)
+        movie_database.insert("mov2genres", ("m9", "comedy"))
+        scored_pairs["pairs"] = 0
+        preparation.similarity_indexes_for([md], examples, top_k=2, threshold=0.6)
+        assert scored_pairs["pairs"] == 0
+
+        movie_database.insert("bom_movies", ("b9", "Superbad!"))
+        pooled = preparation.similarity_indexes_for([md], examples, top_k=2, threshold=0.6)
+        fresh = DatabasePreparation(movie_database, target).similarity_indexes_for(
+            [md], examples, top_k=2, threshold=0.6
+        )
+        assert "Superbad!" in pooled[md.name].partners_of("Superbad")
+        assert _indexes_equal(pooled, fresh)
