@@ -61,7 +61,9 @@ from repro.logic.subsumption import SubsumptionChecker
 
 BACKENDS = ("serial", "thread", "process")
 
-#: Step budget of the retained identity probe (see bench_binding_matrix.py).
+#: Step budget of the retained identity probe — small enough that a doomed
+#: retry exhausts it quickly, large enough that every satisfiable search
+#: completes.
 RETAINED_BUDGET = 5_000
 
 #: The cell the ``--min-process-speedup`` gate reads: the canonical CFD-heavy
@@ -103,9 +105,9 @@ def _cfd_heavy_config() -> DLearnConfig:
 
 
 def _grid(quick: bool) -> list[tuple[str, object, DLearnConfig]]:
-    #: Same CFD-heavy cells as the kernels bench: the high violation rate and
-    #: MD drift make individual subsumption searches expensive enough that
-    #: per-example parallelism has real work to split.
+    #: CFD-heavy cells: the high violation rate and MD drift make individual
+    #: subsumption searches expensive enough that per-example parallelism
+    #: has real work to split.
     cfd_heavy = dict(
         string_variant_intensity=0.6,
         md_drift=0.7,
@@ -133,7 +135,7 @@ def _backend_config(config: DLearnConfig, backend: str, jobs: int) -> DLearnConf
 
 
 def _candidate_clauses(session, positives, n_seeds: int = 3) -> list[HornClause]:
-    """Full bottom clauses plus ARMG-like truncations (see bench_binding_matrix)."""
+    """Full bottom clauses plus ARMG-like prefix truncations of them."""
     candidates: list[HornClause] = []
     seen: set[HornClause] = set()
     for seed_example in positives[:n_seeds]:

@@ -86,20 +86,6 @@ class DLearnConfig:
         point of a budget-bound check is engine-relative, so workloads that
         hit the valve may drop different literals under the two engines
         (both conservatively).
-    vectorized_kernels:
-        Run the numpy compute plane (:mod:`repro.logic.kernels`,
-        :mod:`repro.db.kernels`) on top of the compiled/interned structures:
-        arc-consistency sweeps over the ``[n_slots, n_terms]`` binding matrix
-        refute provably hopeless subsumption searches before the backtracking
-        engine starts (the unsat certificate), and the batched chase resolves
-        frontier-row unions and ``select_equal_many`` as dense passes over
-        the ``array('q')`` id columns.  The certificate is sound and the
-        column kernels are value-identical probe implementations, so
-        verdicts, retained-literal lists, saturation results and learned
-        definitions are identical with the switch on or off (the kernels
-        property suite and ``benchmarks/bench_binding_matrix.py`` assert
-        this) — only the cost profile differs.  The pure-Python paths remain
-        the reference oracles; without numpy the switch degrades to off.
     n_jobs:
         Number of worker threads :meth:`repro.core.coverage.CoverageEngine.batch_covers`
         (and with it ``covered_counts`` and batched prediction) fans the
@@ -208,7 +194,6 @@ class DLearnConfig:
     max_repair_groups_per_clause: int = 200
     reduce_clauses: bool = True
     compiled_subsumption: bool = True
-    vectorized_kernels: bool = True
     n_jobs: int = 1
     parallel_backend: str = "thread"
     shard_count: int = 1

@@ -55,7 +55,7 @@ import threading
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from ..logic.clauses import HornClause
@@ -91,6 +91,11 @@ _SPECIFIC_CACHE_SIZE = 8192
 #: growth, and eviction is a wholesale clear (re-proving is what the cache
 #: avoids in the steady state, not what correctness depends on).
 _VERDICT_CACHE_SIZE = 1 << 16
+
+
+def _cfd_variants(clause: HornClause, max_results: int) -> tuple[HornClause, ...]:
+    """The clause variants of *clause*'s CFD repair groups, at most *max_results*."""
+    return tuple(repaired_clauses(clause, only_provenance_prefix=_CFD_PREFIX, max_results=max_results))
 
 
 def _md_projection(clause: HornClause) -> HornClause:
@@ -149,12 +154,7 @@ class CoverageEngine:
         self.config = config
         checker = checker or SubsumptionChecker()
         use_compiled = checker.use_compiled and config.compiled_subsumption
-        use_kernels = checker.vectorized_kernels and config.vectorized_kernels
-        if (
-            use_compiled != checker.use_compiled
-            or use_kernels != checker.vectorized_kernels
-            or checker.compiler is None
-        ):
+        if use_compiled != checker.use_compiled or checker.compiler is None:
             # Clone instead of mutating the caller's instance: a checker
             # passed in may be shared outside this engine, and installing a
             # compiler (or flipping the engine mode) on it would silently
@@ -164,7 +164,6 @@ class CoverageEngine:
                 condition_subset=checker.condition_subset,
                 max_steps=checker.max_steps,
                 use_compiled=use_compiled,
-                vectorized_kernels=use_kernels,
                 compiler=checker.compiler or ClauseCompiler(),
             )
         self.checker = checker
@@ -203,7 +202,12 @@ class CoverageEngine:
         self._prepare_general = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(self.checker.prepare_general)
         self._prepare_specific = lru_cache(maxsize=_SPECIFIC_CACHE_SIZE)(self.checker.prepare)
         self._md_projection_of = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(_md_projection)
-        self._cfd_variants_of = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(self._expand_cfd_variants)
+        # A module-level function, not a bound method: caching
+        # ``self._method`` would make the engine reference itself, so
+        # refcounting could never free it and its caches.
+        self._cfd_variants_of = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(
+            partial(_cfd_variants, max_results=config.max_cfd_expansions)
+        )
 
     # ------------------------------------------------------------------ #
     # ground bottom clauses
@@ -521,8 +525,8 @@ class CoverageEngine:
         if example.positive:
             if not checker.subsumes(_md_projection(clause), _md_projection(ground_clause)).subsumes:
                 return False
-        clause_variants = self._expand_cfd_variants(clause)
-        ground_variants = self._expand_cfd_variants(ground_clause)
+        clause_variants = _cfd_variants(clause, self.config.max_cfd_expansions)
+        ground_variants = _cfd_variants(ground_clause, self.config.max_cfd_expansions)
         quantifier = all if example.positive else any
         return quantifier(
             any(checker.subsumes(cv, gv).subsumes for gv in ground_variants) for cv in clause_variants
@@ -605,13 +609,6 @@ class CoverageEngine:
 
     def _as_specific(self, ground: HornClause | PreparedClause) -> PreparedClause:
         return ground if isinstance(ground, PreparedClause) else self._prepare_specific(ground)
-
-    def _expand_cfd_variants(self, clause: HornClause) -> tuple[HornClause, ...]:
-        return tuple(
-            repaired_clauses(
-                clause, only_provenance_prefix=_CFD_PREFIX, max_results=self.config.max_cfd_expansions
-            )
-        )
 
     def _effective_jobs(self, n_examples: int) -> int:
         return max(1, min(self.config.n_jobs, n_examples))
@@ -744,7 +741,6 @@ class CoverageEngine:
                 condition_subset=self.checker.condition_subset,
                 max_steps=self.checker.max_steps,
                 use_compiled=self.checker.use_compiled,
-                vectorized_kernels=self.checker.vectorized_kernels,
                 compiler=self.compiler,
             )
             self._thread_state.checker = checker

@@ -32,12 +32,11 @@ deterministic.  Ground clauses are routed to a fixed worker on first sight
 exactly once across the pool; candidate generals are shipped on demand to
 the workers whose grounds they meet.
 
-Verdict parity: a worker proves the same staged search the parent engine
+Verdict parity: a worker proves the same budgeted search the parent engine
 proves (:meth:`~repro.logic.subsumption.SubsumptionChecker.subsumes_pair`
-runs the probe valve, certificate sweep, pruned retry and connectivity
-retry of ``subsumes``), and the coverage pipeline over the shipped bundles
-(:func:`_bundle_verdict`) mirrors ``CoverageEngine._prove_ground`` branch
-for branch — so verdicts, and everything downstream of them (retained
+runs the search and connectivity retry of ``subsumes``), and the coverage
+pipeline over the shipped bundles (:func:`_bundle_verdict`) mirrors
+``CoverageEngine._prove_ground`` branch for branch — so verdicts, and everything downstream of them (retained
 lists, learned definitions, predictions), are bit-identical to the serial
 path.  ``benchmarks/bench_parallel_fanout.py`` and the property suites
 assert this.
@@ -118,7 +117,6 @@ def checker_params(checker: SubsumptionChecker) -> dict[str, Any]:
         "condition_subset": checker.condition_subset,
         "max_steps": checker.max_steps,
         "use_compiled": True,
-        "vectorized_kernels": checker.vectorized_kernels,
     }
 
 

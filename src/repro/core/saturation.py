@@ -57,7 +57,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..db import kernels as db_kernels
 from ..db.instance import DatabaseInstance
 from ..db.interning import MISSING_ID
 from ..db.overlay import OverlayInstance
@@ -346,19 +345,6 @@ class FrontierChase:
         self.cache = cache or SaturationCache()
         self.batched = batched
         self._interner = problem.database.interner
-        #: Route the depth prefetch through the numpy column kernels.  Gated
-        #: to exactly the storage the kernels cover — interned, non-overlay
-        #: instances, whose array('q') columns admit zero-copy views (this is
-        #: also precisely the storage the probe cache does *not* memoise, so
-        #: no memo layer is bypassed).  Results are value-identical either
-        #: way; only the cost profile differs.
-        self._vectorized = (
-            batched
-            and config.vectorized_kernels
-            and db_kernels.HAS_NUMPY
-            and problem.database.interned
-            and not isinstance(problem.database, OverlayInstance)
-        )
         #: (md name, value id) → decoded top-k partner values.
         self._partner_cache: dict[tuple[str, object], tuple[object, ...]] = {}
         #: value id → chaseability verdict; valid per chase (fixed config limit).
@@ -556,19 +542,9 @@ class FrontierChase:
                 return tables
         tables_map: dict[str, dict[object, frozenset[int]]] = {}
         for relation in allowed:
-            tables_map[relation.schema.name] = (
-                relation.any_rows_table_vectorized(union_frontier)
-                if self._vectorized
-                else self.probes.any_rows_table(relation, union_frontier)
-            )
+            tables_map[relation.schema.name] = self.probes.any_rows_table(relation, union_frontier)
         for relation, to_attribute, partner_keys in equal_probes:
-            if self._vectorized:
-                # One numpy pass over the id column, seeding the
-                # attribute index with pre-frozen entries for the
-                # per-key probes the depth's advance will issue.
-                relation.rows_equal_ids_vectorized(to_attribute, partner_keys)
-            else:
-                self.probes.prefetch_equal(relation, to_attribute, partner_keys)
+            self.probes.prefetch_equal(relation, to_attribute, partner_keys)
         return _DepthTables(tables_map, None)
 
     def _scatter_depth(

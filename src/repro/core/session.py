@@ -267,10 +267,7 @@ class DatabasePreparation:
         #: relative to one interner, so every session over this database (the
         #: covering loop, prediction batches, cross-validation folds) compiles
         #: its clauses through the same dictionary and compiled clause forms
-        #: stay valid across sessions.  The numpy binding-matrix planes of
-        #: the vectorised kernels cache on those compiled forms
-        #: (:func:`repro.logic.kernels.specific_plane`), so they are shared
-        #: through the preparation as well.
+        #: stay valid across sessions.
         self.compiler = ClauseCompiler()
         self._md_caches: dict[str, _MdIndexCache] = {}
         self._fanouts: dict[tuple, ProcessFanout] = {}
@@ -483,10 +480,7 @@ class LearningSession:
         self.engine = CoverageEngine(
             self.builder,
             config,
-            SubsumptionChecker(
-                compiler=self.preparation.compiler,
-                vectorized_kernels=config.vectorized_kernels,
-            ),
+            SubsumptionChecker(compiler=self.preparation.compiler),
         )
         if config.parallel_backend == "process" and config.n_jobs > 1:
             # Share one seeded worker pool across every session over this

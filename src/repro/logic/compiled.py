@@ -257,7 +257,6 @@ class CompiledGeneral:
     """Flat integer form of the general (C) side of subsumption checks."""
 
     __slots__ = (
-        "compiler",
         "terms",
         "clause",
         "head_key",
@@ -279,7 +278,6 @@ class CompiledGeneral:
 
     # Slots are assigned by ClauseCompiler.compile_general, not in __init__;
     # the class-level annotations give mypy the attribute types anyway.
-    compiler: "ClauseCompiler"
     terms: TermInterner
     clause: HornClause
     head_key: tuple[str, int]
@@ -328,7 +326,6 @@ class CompiledSpecific:
     """
 
     __slots__ = (
-        "compiler",
         "terms",
         "head_key",
         "head_ids",
@@ -342,12 +339,10 @@ class CompiledSpecific:
         "unequal",
         "conn_map",
         "has_repairs",
-        "np_plane",
     )
 
     # Slots are assigned by ClauseCompiler.compile_specific, not in __init__;
     # the class-level annotations give mypy the attribute types anyway.
-    compiler: "ClauseCompiler"
     terms: TermInterner
     head_key: tuple[str, int]
     head_ids: tuple[TermId, ...]
@@ -361,9 +356,6 @@ class CompiledSpecific:
     unequal: set[tuple[int, int]]
     conn_map: dict[int, tuple[int, ...]]
     has_repairs: bool
-    #: Lazily built numpy face of the rows (:class:`repro.logic.kernels.SpecificPlane`);
-    #: pure and derived, so a racing rebuild across worker threads is benign.
-    np_plane: object | None
 
     def witness_mapped(self, assignment: Iterable[int]) -> frozenset[Literal]:
         literal_of = self.literal_of
@@ -414,16 +406,21 @@ class ClauseCompiler:
     # ------------------------------------------------------------------ #
     # cached entry points
     # ------------------------------------------------------------------ #
+    # A compiled form belongs to the compiler whose term dictionary it was
+    # built over.  Forms hold that dictionary, not the compiler: a back
+    # reference would put every cached form in a cycle with the compiler's
+    # caches, and a dropped session's whole compiled plane would then wait
+    # for the cyclic collector instead of being freed at once.
     def compiled_general_for(self, prepared: "PreparedGeneral") -> CompiledGeneral:
         compiled = prepared.compiled
-        if compiled is None or compiled.compiler is not self:
+        if compiled is None or compiled.terms is not self.terms:
             compiled = self.compile_general(prepared.clause)
             prepared.compiled = compiled
         return compiled
 
     def compiled_specific_for(self, prepared: "PreparedClause") -> CompiledSpecific:
         compiled = prepared.compiled
-        if compiled is None or compiled.compiler is not self:
+        if compiled is None or compiled.terms is not self.terms:
             key = self._cache_key(prepared.clause)
             compiled = self._specific_cache.get(key)
             if compiled is None:
@@ -493,7 +490,6 @@ class ClauseCompiler:
                 comp_literals.append(literal)
                 body_entries.append((False, len(triples) - 1))
 
-        compiled.compiler = self
         compiled.terms = self.terms
         compiled.clause = clause
         compiled.nslots = len(slots)
@@ -575,7 +571,6 @@ class ClauseCompiler:
     def compile_specific(self, prepared: "PreparedClause") -> CompiledSpecific:
         intern = self.terms.intern
         compiled = CompiledSpecific()
-        compiled.compiler = self
         compiled.terms = self.terms
         head = prepared.clause.head
         collapse = prepared.collapse
@@ -635,7 +630,6 @@ class ClauseCompiler:
                     # compile to identical conn_map tuples.
                     conn_map[canon_ids[literal]] = tuple(sorted(canon_ids[r] for r in connected))
         compiled.conn_map = conn_map
-        compiled.np_plane = None
         return compiled
 
     def _pair_set(self, pairs: Iterable[frozenset[Term]]) -> set[tuple[int, int]]:
@@ -682,7 +676,7 @@ def general_from_wire(wire: tuple, terms: TermInterner) -> CompiledGeneral:
 
     Goal footprints are re-derived from the codes (the same function of
     codes + condition that :meth:`ClauseCompiler.compile_general` computes),
-    and ``var_slot`` from ``slot_ids``.  ``compiler``, ``clause``,
+    and ``var_slot`` from ``slot_ids``.  ``clause``,
     ``slot_terms``, ``comparison_literals`` and ``body_entries`` stay unset.
     """
     (head_key, head_codes, nslots, slot_ids, goal_rows, comparison_triples,
@@ -738,8 +732,7 @@ def specific_to_wire(cs: CompiledSpecific) -> tuple:
 def specific_from_wire(wire: tuple, terms: TermInterner) -> CompiledSpecific:
     """Rebuild a search-ready :class:`CompiledSpecific` over *terms*.
 
-    ``compiler`` and ``literal_of`` stay unset (witness literals live in the
-    parent); ``np_plane`` starts empty and is rebuilt lazily in the worker.
+    ``literal_of`` stays unset (witness literals live in the parent).
     """
     (head_key, head_ids, group_rows, rows, conds, canon_of, collapse_ids,
      similar, unequal, conn_map, has_repairs) = wire
@@ -759,7 +752,6 @@ def specific_from_wire(wire: tuple, terms: TermInterner) -> CompiledSpecific:
     compiled.unequal = set(unequal)
     compiled.conn_map = dict(conn_map)
     compiled.has_repairs = has_repairs
-    compiled.np_plane = None
     return compiled
 
 
@@ -786,7 +778,6 @@ class CompiledSearch:
         "max_steps",
         "condition_subset",
         "require_connectivity",
-        "allowed_rows",
     )
 
     def __init__(
@@ -807,12 +798,6 @@ class CompiledSearch:
         self.max_steps = max_steps
         self.condition_subset = condition_subset
         self.require_connectivity = False
-        #: goal idx → arc-consistent global rows (repro.logic.kernels.prune);
-        #: other rows provably extend to no witness and are skipped.  Only
-        #: sound for the goal set the sweep covered, so drivers set it per
-        #: search.  Selection still counts unpruned candidates, keeping the
-        #: DFS visit order — and the first witness — identical to unpruned.
-        self.allowed_rows: dict[int, frozenset[int]] | None = None
 
     # ------------------------------------------------------------------ #
     # driver entry points
@@ -926,10 +911,7 @@ class CompiledSearch:
                     break
 
         goal = goals[best_goal]
-        allowed = self.allowed_rows.get(best_goal) if self.allowed_rows else None
         for gidx in best:
-            if allowed is not None and gidx not in allowed:
-                continue
             mark = len(self.trail)
             if not self.match_candidate(goal, gidx):
                 self.undo(mark)

@@ -42,7 +42,6 @@ from typing import Sequence
 from .atoms import Comparison, ComparisonOp, Condition, Literal, LiteralKind
 from .clauses import HornClause
 from .compiled import BudgetExceeded, ClauseCompiler, CompiledGeneral, CompiledSearch, CompiledSpecific
-from .kernels import HAS_NUMPY, prune, refutes
 from .substitution import Substitution
 from .terms import Constant, Term, Variable, is_constant, is_variable
 
@@ -121,36 +120,24 @@ class PreparedGeneral:
 
 @dataclass
 class SearchStats:
-    """Per-checker counters for the binding-matrix certificate's hit profile.
+    """Per-checker counters of the compiled engine's search profile.
 
+    ``checks`` counts the compiled engine's verdicts
+    (:meth:`SubsumptionChecker.subsumes`, :meth:`SubsumptionChecker.subsumes_pair`);
     ``retries`` / ``retry_exhausted`` count the full-backtracking fallbacks
     of :meth:`SubsumptionChecker.retained_generalization` and how many of
-    them burnt their whole step budget; ``certificates`` counts searches the
-    arc-consistency certificate refuted before they started.  The kernels
-    benchmark diffs these between kernels-on and kernels-off runs to measure
-    how many previously budget-exhausted searches the certificate now
-    short-circuits.  Counters are cumulative; :meth:`reset` rewinds them.
+    them burnt their whole step budget.  Counters are cumulative;
+    :meth:`reset` rewinds them.
     """
 
     checks: int = 0
+    # Always 0: read only by perfbench/tracer.py's ``logic.certificates`` metric.
     certificates: int = 0
     retries: int = 0
     retry_exhausted: int = 0
 
     def reset(self) -> None:
-        self.checks = self.certificates = self.retries = self.retry_exhausted = 0
-
-
-#: Floor of the first-stage retry probe's step allowance (the probe gets a
-#: quarter of the budget, but never less than this).  Nearly every
-#: backtracking retry resolves within a couple of thousand steps; only the
-#: ones that outlive the probe pay for an arc-consistency sweep
-#: (certificate or pruned full-budget re-search).  The value trades sweep
-#: count against probe waste: low enough that a doomed deep retry barely
-#: dents its budget before the certificate fires, high enough that
-#: mid-depth satisfiable retries finish inside the probe instead of paying
-#: a ~ms sweep each.
-_RETRY_PROBE_STEPS = 1536
+        self.checks = self.retries = self.retry_exhausted = 0
 
 
 class _BudgetExceeded(BudgetExceeded):
@@ -249,15 +236,6 @@ class SubsumptionChecker:
         exchange prepared clauses (e.g. the coverage engine's thread-pool
         clones) must share one compiler; omitted, a private one is created
         on first compiled use.
-    vectorized_kernels:
-        Run the arc-consistency unsat certificate (:mod:`repro.logic.kernels`)
-        before compiled searches; a fired certificate refutes without
-        entering the backtracking search.  The certificate is sound and
-        *certificate-only* (inconclusive sweeps fall through to the exact
-        search), so verdicts, witnesses and retained lists are identical
-        either way — the switch only trades certificate overhead against
-        budget burn.  Forced off when numpy is unavailable or the checker
-        runs the pure-Python reference engine.
     """
 
     def __init__(
@@ -268,14 +246,12 @@ class SubsumptionChecker:
         max_steps: int | None = 100_000,
         use_compiled: bool = True,
         compiler: ClauseCompiler | None = None,
-        vectorized_kernels: bool = True,
     ) -> None:
         self.respect_repair_connectivity = respect_repair_connectivity
         self.condition_subset = condition_subset
         self.max_steps = max_steps
         self.use_compiled = use_compiled
         self.compiler = compiler
-        self.vectorized_kernels = vectorized_kernels and use_compiled and HAS_NUMPY
         self.stats = SearchStats()
         self._steps = 0
 
@@ -371,111 +347,47 @@ class SubsumptionChecker:
         The process fan-out's entry point: a worker holds wire-reconstructed
         compiled forms over an :class:`~repro.logic.compiled.InternerView`
         (no boxed terms), so witness decoding is impossible there — but the
-        verdict needs only the integer plane.  Runs the exact staged search
-        :meth:`subsumes` runs (probe valve, certificate sweep, pruned retry,
-        connectivity retry), so budget-exhaustion points — and with them
-        every verdict — match the parent engine bit-for-bit.
+        verdict needs only the integer plane.  Runs the exact search
+        :meth:`subsumes` runs (budgeted search, connectivity retry), so
+        budget-exhaustion points — and with them every verdict — match the
+        parent engine bit-for-bit.
         """
         return self._run_compiled(cg, cs) is not None
 
     def _run_compiled(self, cg: CompiledGeneral, cs: CompiledSpecific) -> CompiledSearch | None:
-        """Staged compiled search to a verdict; the successful search or ``None``."""
+        """Compiled search to a verdict under ``max_steps``; the successful search or ``None``.
+
+        An exhausted budget concedes ``None``.  The connectivity retry
+        continues the first search's step count under the same budget,
+        exactly as the reference engine charges it.
+        """
         self._steps = 0
         self.stats.checks += 1
-        budget = self.max_steps
-        if not self.vectorized_kernels or budget is None:
-            search = CompiledSearch(
-                cg, cs, condition_subset=self.condition_subset, max_steps=budget
-            )
-            if not search.seed_head():
-                return None
-            if self.vectorized_kernels and refutes(
-                cg,
-                cs,
-                search.binding,
-                cg.all_goal_idxs,
-                self.condition_subset,
-                cg.all_triples_ordered,
+        search = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
+        if not search.seed_head():
+            return None
+        try:
+            found = search.run()
+            if (
+                found
+                and self.respect_repair_connectivity
+                and cs.has_repairs
+                and not search.connectivity_ok()
             ):
-                # Kernels without a budget: there is no valve to stop a
-                # doomed exhaustive search, so sweep before searching.  The
-                # certificate proved no witness extends the head seed; the
-                # search would necessarily have returned False.
-                self.stats.certificates += 1
-                return None
-            try:
-                return self._verdict_search(cg, cs, search)
-            except BudgetExceeded:
-                return None
-        # Probe-first two-stage check, mirroring :meth:`_compiled_retry`:
-        # the overwhelming majority of checks resolve within the probe's
-        # allowance at zero kernel overhead; only a check that hits the
-        # probe's valve pays for an arc-consistency sweep — either the
-        # unsat certificate fires (the full search would have burnt the
-        # budget proving the same False) or the full-budget re-search runs
-        # over the sweep's surviving candidate rows.
-        probe = CompiledSearch(
-            cg,
-            cs,
-            condition_subset=self.condition_subset,
-            max_steps=min(budget, max(_RETRY_PROBE_STEPS, budget // 4)),
-        )
-        if not probe.seed_head():
-            return None
-        try:
-            return self._verdict_search(cg, cs, probe)
-        except BudgetExceeded:
-            pass
-        retry = CompiledSearch(
-            cg, cs, condition_subset=self.condition_subset, max_steps=budget
-        )
-        retry.seed_head()
-        allowed = prune(
-            cg, cs, retry.binding, cg.all_goal_idxs, self.condition_subset, cg.all_triples_ordered
-        )
-        if allowed is None:
-            self.stats.certificates += 1
-            return None
-        retry.allowed_rows = allowed or None
-        try:
-            return self._verdict_search(cg, cs, retry)
+                # Retry exhaustively for a witness satisfying Definition 4.4's
+                # connectivity requirement — the reference checker's retry,
+                # on the integer plane.
+                search = CompiledSearch(
+                    cg,
+                    cs,
+                    condition_subset=self.condition_subset,
+                    max_steps=self.max_steps,
+                    steps=search.steps,
+                )
+                search.seed_head()
+                found = search.run_with_connectivity()
         except BudgetExceeded:
             return None
-
-    def _verdict_search(
-        self, cg: CompiledGeneral, cs: CompiledSpecific, search: CompiledSearch
-    ) -> CompiledSearch | None:
-        """Run *search* to a verdict, retrying for repair connectivity.
-
-        Raises :class:`BudgetExceeded` from the initial search — the caller
-        owns that valve (the probe stage escalates, the full-budget stages
-        concede).  The connectivity retry always runs under the checker's
-        full budget continuing the searched steps, exactly as the reference
-        engine charges it, so its exhaustion is a final False either way.
-        """
-        found = search.run()
-        if (
-            found
-            and self.respect_repair_connectivity
-            and cs.has_repairs
-            and not search.connectivity_ok()
-        ):
-            # Retry exhaustively for a witness satisfying Definition 4.4's
-            # connectivity requirement, continuing the same step budget —
-            # the reference checker's retry, on the integer plane.
-            retry = CompiledSearch(
-                cg,
-                cs,
-                condition_subset=self.condition_subset,
-                max_steps=self.max_steps,
-                steps=search.steps,
-            )
-            retry.seed_head()
-            try:
-                found = retry.run_with_connectivity()
-            except BudgetExceeded:
-                return None
-            search = retry
         self._steps = search.steps
         return search if found else None
 
@@ -648,76 +560,13 @@ class SubsumptionChecker:
     ) -> CompiledSearch | None:
         """Full backtracking search used when the greedy witness extension fails.
 
-        This is where CFD-heavy generalization profiles used to burn the full
-        ``max_steps`` budget: a retry over a doomed goal set explores the
-        whole (exponential) candidate space before conceding.  The kernels
-        engine runs the retry in two stages.  A cheap *probe* search first
-        spends at most a quarter of the budget (floored at
-        :data:`_RETRY_PROBE_STEPS`) — almost every retry resolves there,
-        with zero kernel overhead and the exact outcome the plain engine
-        computes.  Only when the probe hits its
-        valve does the arc-consistency sweep (:mod:`repro.logic.kernels`)
-        run: either it refutes the goal set outright — the unsat certificate
-        — or it hands the full-budget re-search its surviving candidate
-        rows, so the deep search skips the pruned subtrees instead of
-        exploring them to failure.  A certificate only ever fires where the
-        search would have returned ``None`` anyway, and pruning preserves
-        the DFS visit order over witnesses, so with an ample budget retained
-        lists are identical with the kernels on or off.  Under a tight
-        budget the pruned retry simply exhausts later (it skips work the
-        plain engine charges for), which is the point: outcomes can then
-        only move from the conservative budget valve to the retry's real
-        verdict.
+        Each retry gets its own ``max_steps`` budget, exactly like the
+        reference's; an exhausted retry concedes ``None`` — the conservative
+        outcome that drops the literal under test.
         """
         self.stats.retries += 1
-        budget = self.max_steps
-        if not self.vectorized_kernels or budget is None:
-            # Plain path — or unbudgeted with kernels: there is no valve to
-            # stop a doomed unbudgeted retry, so sweep before searching.
-            if self.vectorized_kernels:
-                return self._pruned_retry(cg, cs, goal_idxs, comp_idxs, None)
-            retry = CompiledSearch(
-                cg, cs, condition_subset=self.condition_subset, max_steps=budget
-            )
-            retry.seed_head()
-            try:
-                if retry.search(tuple(goal_idxs), cg.ordered_triples(comp_idxs), {}):
-                    return retry
-            except BudgetExceeded:
-                self.stats.retry_exhausted += 1
-            return None
-        # The probe allowance scales with the budget: a sweep only pays for
-        # itself when a certificate (or pruned re-search) can save most of the
-        # budget, so deep-but-satisfiable retries under an ample budget — the
-        # fit path's default 100k — should resolve in the probe rather than
-        # pay a sweep whose certificate almost never fires there.
-        probe = CompiledSearch(
-            cg,
-            cs,
-            condition_subset=self.condition_subset,
-            max_steps=min(budget, max(_RETRY_PROBE_STEPS, budget // 4)),
-        )
-        probe.seed_head()
-        try:
-            if probe.search(tuple(goal_idxs), cg.ordered_triples(comp_idxs), {}):
-                return probe
-            return None  # a completed probe is exactly the plain verdict
-        except BudgetExceeded:
-            return self._pruned_retry(cg, cs, goal_idxs, comp_idxs, budget)
-
-    def _pruned_retry(
-        self, cg, cs, goal_idxs: list[int], comp_idxs: list[int], budget: "int | None"
-    ) -> CompiledSearch | None:
-        """Sweep, then search *goal_idxs* under *budget* with the pruned rows."""
-        retry = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=budget)
+        retry = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
         retry.seed_head()
-        allowed = prune(
-            cg, cs, retry.binding, goal_idxs, self.condition_subset, cg.ordered_triples(comp_idxs)
-        )
-        if allowed is None:
-            self.stats.certificates += 1
-            return None
-        retry.allowed_rows = allowed or None
         try:
             if retry.search(tuple(goal_idxs), cg.ordered_triples(comp_idxs), {}):
                 return retry

@@ -1,4 +1,4 @@
-"""Verdict-cache invalidation on database mutation, and the kernel wiring.
+"""Verdict-cache invalidation on database mutation.
 
 The session-level verdict cache memoises (candidate, ground clause) proofs;
 before this fix it survived in-place delta mutation of an
@@ -7,10 +7,6 @@ the overlay's ``_added`` delta in place), serving verdicts computed against
 database state that no longer exists.  The coverage engine now stamps the
 database (:meth:`mutation_stamp`) and drops every derived cache — ground
 clauses, verdicts, saturation results, probe tables — when the stamp moves.
-
-The wiring tests pin where the vectorised chase kernels may engage: exactly
-the interned, non-overlay storage whose columns the numpy kernels cover, and
-that engaging them never changes what is learned.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import pytest
 from repro.core import (
     BottomClauseBuilder,
     CoverageEngine,
-    DLearn,
     DLearnConfig,
     Example,
     ExampleSet,
@@ -106,21 +101,3 @@ class TestVerdictCacheInvalidation:
         prepared = engine.prepared_ground(POS_M1 := Example(("m1",), True))
         assert engine.prepared_ground(POS_M1) is prepared  # cache hit, no stamp move
 
-
-class TestVectorizedWiring:
-    def test_chase_kernels_engage_only_on_interned_plain_storage(self, movie_problem, fast_config):
-        from repro.db.kernels import HAS_NUMPY
-
-        session = LearningSession(movie_problem, fast_config)
-        assert session.chase._vectorized == HAS_NUMPY
-        off = LearningSession(movie_problem, fast_config.but(vectorized_kernels=False))
-        assert not off.chase._vectorized
-        overlay_problem = movie_problem.with_database(OverlayInstance.over(movie_problem.database))
-        assert not LearningSession(overlay_problem, fast_config).chase._vectorized
-
-    def test_vectorized_switch_does_not_change_what_is_learned(self, movie_problem, fast_config):
-        on = DLearn(fast_config.but(vectorized_kernels=True)).fit(movie_problem)
-        off = DLearn(fast_config.but(vectorized_kernels=False)).fit(movie_problem)
-        assert [str(clause) for clause in on.clauses] == [str(clause) for clause in off.clauses]
-        examples = [Example((f"m{i}",), True) for i in range(1, 5)]
-        assert on.predict(examples) == off.predict(examples)

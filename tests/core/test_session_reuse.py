@@ -12,10 +12,16 @@ contracts:
 * a preparation is rejected when offered to a session over a different
   database instance;
 * a write to an MD's relation re-scores that MD's cached pairs, and a write
-  anywhere else re-scores nothing.
+  anywhere else re-scores nothing;
+* a dropped session's coverage engine, and a dropped model's compiled
+  clause forms, are freed by refcounting alone, so their caches do not wait
+  for the cyclic collector.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -230,3 +236,35 @@ class TestWritesToMdColumns:
         )
         assert "Superbad!" in pooled[md.name].partners_of("Superbad")
         assert _indexes_equal(pooled, fresh)
+
+
+class TestRelease:
+    def test_dropped_session_frees_its_engine_without_the_cycle_collector(
+        self, movie_problem, fast_config
+    ):
+        session = LearningSession(movie_problem, fast_config)
+        examples = movie_problem.examples.all()
+        candidate = session.builder.build(examples[0], ground=False)
+        session.engine.batch_covers(candidate, examples)  # fill the engine's caches
+        gc.collect()
+        gc.disable()
+        try:
+            engine = weakref.ref(session.engine)
+            del session, candidate
+            assert engine() is None
+        finally:
+            gc.enable()
+
+    def test_dropped_model_leaves_no_cyclic_garbage(self, movie_problem, fast_config):
+        # Compiled clause forms must not point back at the compiler whose
+        # caches hold them, or a dropped model's whole compiled plane waits
+        # for the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            model = DLearn(fast_config).fit(movie_problem)
+            model.predict(movie_problem.examples.all())
+            del model
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -11,7 +11,9 @@ The budget section covers the step-budget semantics the learner relies on:
 adversarial symmetric clauses that exhaust ``max_steps`` must yield the
 conservative "does not subsume" verdict in both engines, the budget must
 reset between checks, and ``retained_generalization`` must treat budget
-exhaustion of its backtracking retry as blocking.
+exhaustion of its backtracking retry as blocking.  The stats section pins
+the :class:`~repro.logic.subsumption.SearchStats` counters the perfbench
+tracer reads.
 
 The threading section pins the thread-safety fix for the ``theta_subsumes``
 convenience wrapper: default checkers are per-thread, so the step counter of
@@ -271,7 +273,7 @@ class TestTermInterner:
         assert first.subsumes(prepared_general, prepared).subsumes
         second = compiled_checker()
         assert second.subsumes(prepared_general, prepared).subsumes
-        assert prepared_general.compiled.compiler is second.compiler
+        assert prepared_general.compiled.terms is second.compiler.terms
 
 
 def _symmetric_chain_pair(length: int = 6) -> tuple[HornClause, HornClause]:
@@ -323,6 +325,68 @@ class TestStepBudget:
             # One-step budget: the retry exhausts and the literal is dropped
             # — the conservative choice.
             assert make(max_steps=1).retained_generalization(general, specific) == [general.body[0]]
+
+    def test_pathological_pair_terminates_under_budget(self):
+        # The greedy and connectivity searches of the compiled retained path
+        # charge the caller's budget; the chain pair makes an unbounded
+        # search combinatorial.  Small budget ⇒ fast return, identical in
+        # both engines (both conservative).
+        general, specific = _symmetric_chain_pair(10)
+        compiled = compiled_checker(max_steps=50).retained_generalization(general, specific)
+        reference = reference_checker(max_steps=50).retained_generalization(general, specific)
+        assert compiled == reference
+
+    def test_greedy_budget_is_charged_identically_across_engines(self):
+        general, specific = _doomed_retry_pair(width=30)
+        for budget in (1, 5, 40, None):
+            assert compiled_checker(max_steps=budget).retained_generalization(
+                general, specific
+            ) == reference_checker(max_steps=budget).retained_generalization(general, specific)
+
+
+def _doomed_retry_pair(width: int) -> tuple[HornClause, HornClause]:
+    """Greedy fails on ``s(y)`` and every backtracking retry is doomed.
+
+    The specific clause offers *width* ``r``-rows, none of whose objects
+    appears in the single ``s``-row, so the retry searches (and, with a small
+    budget, exhausts) the whole row block.
+    """
+    general = HornClause(head(X), (relation_literal("r", X, Y), relation_literal("s", Y)))
+    body = [relation_literal("r", Constant("k0"), Constant(f"b{i}")) for i in range(width)]
+    body.append(relation_literal("s", Constant("c")))
+    return general, HornClause(head(Constant("k0")), tuple(body))
+
+
+class TestSearchStats:
+    """The compiled engine's counters, which the perfbench tracer reports."""
+
+    def test_tight_budget_retry_exhausts(self):
+        general, specific = _doomed_retry_pair(width=40)
+        checker = compiled_checker(max_steps=25)
+        assert checker.retained_generalization(general, specific) == [general.body[0]]
+        assert checker.stats.retries == 1
+        assert checker.stats.retry_exhausted == 1
+
+    def test_retry_that_resolves(self):
+        # The greedy choice r(x,y)→r(a,b) makes s(y) fail; the retry finds y→c.
+        general = HornClause(head(X), (relation_literal("r", X, Y), relation_literal("s", Y)))
+        specific = HornClause(
+            head(A),
+            (relation_literal("r", A, B), relation_literal("r", A, C), relation_literal("s", C)),
+        )
+        checker = compiled_checker()
+        assert checker.retained_generalization(general, specific) == list(general.body)
+        assert (checker.stats.retries, checker.stats.retry_exhausted) == (1, 0)
+
+    def test_stats_reset(self):
+        general, specific = _doomed_retry_pair(width=40)
+        checker = compiled_checker(max_steps=25)
+        checker.subsumes(general, specific)
+        checker.retained_generalization(general, specific)
+        assert (checker.stats.checks, checker.stats.retries, checker.stats.retry_exhausted) == (1, 1, 1)
+        checker.stats.reset()
+        stats = checker.stats
+        assert (stats.checks, stats.certificates, stats.retries, stats.retry_exhausted) == (0, 0, 0, 0)
 
 
 class TestThreadSafety:

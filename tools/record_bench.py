@@ -15,7 +15,7 @@ exit from this tool as well.
 Usage:
 
     PYTHONPATH=src python tools/record_bench.py                 # run + record all
-    PYTHONPATH=src python tools/record_bench.py kernels         # one benchmark
+    PYTHONPATH=src python tools/record_bench.py parallel        # one benchmark
     PYTHONPATH=src python tools/record_bench.py --compare-only  # diff without running
 """
 
@@ -36,7 +36,6 @@ BENCHMARKS: dict[str, str] = {
     "saturation": "benchmarks/bench_saturation_batch.py",
     "storage": "benchmarks/bench_storage_intern.py",
     "subsumption": "benchmarks/bench_subsumption_compiled.py",
-    "kernels": "benchmarks/bench_binding_matrix.py",
     "parallel": "benchmarks/bench_parallel_fanout.py",
     "shard": "benchmarks/bench_shard_scale.py",
     "faults": "benchmarks/bench_fault_tolerance.py",
