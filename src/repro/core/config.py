@@ -87,36 +87,15 @@ class DLearnConfig:
         hit the valve may drop different literals under the two engines
         (both conservatively).
     n_jobs:
-        Number of worker threads :meth:`repro.core.coverage.CoverageEngine.batch_covers`
-        (and with it ``covered_counts`` and batched prediction) fans the
-        per-example subsumption checks out to.  ``1`` — the default — keeps
-        every check on the calling thread.  Coverage checks are independent
-        per example, so the fan-out is safe (each worker gets its own
-        subsumption checker); how much wall-clock it buys depends on how much
-        of the subsumption work runs outside the GIL, so treat values above 1
-        as an opt-in experiment rather than a guaranteed speed-up.  The
-        clause-level caching of the batched path is always on and independent
-        of this knob.
+        Must be 1: every coverage check runs on the calling thread.  The
+        field remains only because a benchmark workload passes ``n_jobs=1``.
     parallel_backend:
-        Execution backend of the ``n_jobs`` coverage fan-out:
-
-        * ``"thread"`` (the default) — a :class:`~concurrent.futures.ThreadPoolExecutor`
-          over chunked example lists.  Cheap to start and shares every cache,
-          but Python-level search work contends on the GIL.
-        * ``"process"`` — :mod:`repro.core.fanout`'s process pool over the
-          compiled integer plane.  Workers are seeded once with a read-only
-          snapshot of the session :class:`~repro.logic.compiled.TermInterner`
-          and receive compiled clause forms as flat int tuples; later
-          dispatches ship only interner deltas and example-id work lists, so
-          coverage checks scale with cores instead of contending on the GIL.
-          Verdicts are bit-identical to the serial path (the benchmark and
-          property suites assert it).  Falls back to ``"thread"`` with a
-          warning where worker processes cannot be spawned.
-        * ``"serial"`` — force every check onto the calling thread even when
-          ``n_jobs > 1``; the reference oracle for the other two.
-
-        With ``n_jobs == 1`` the backend is irrelevant: everything runs
-        serially on the calling thread.
+        Where the shards of a ``shard_count > 1`` chase live:
+        ``"process"`` puts them in seeded worker processes
+        (:class:`repro.core.fanout.SaturationFanout`); ``"serial"`` (the
+        default) probes the same shards in-process
+        (:class:`repro.core.fanout.SerialShardScatter`).  Irrelevant with
+        ``shard_count == 1``.
     shard_count:
         Number of row-wise shards the database instance is partitioned into
         for the saturation chase (:mod:`repro.db.sharding`).  ``1`` — the
@@ -125,27 +104,26 @@ class DLearnConfig:
         and gathers the per-shard probe answers; with
         ``parallel_backend="process"`` the shards live in seeded worker
         processes (:class:`repro.core.fanout.SaturationFanout`) so the
-        per-depth index probes run GIL-free, while the serial/thread
-        backends probe the same shards in-process
+        per-depth index probes run GIL-free, while the serial backend
+        probes the same shards in-process
         (:class:`repro.core.fanout.SerialShardScatter` — the identity
         oracle).  Results are bit-identical to the unsharded chase either
         way; only the cost profile differs.  Requires interned storage;
         sessions over identity-interner instances warn and fall back to
         the unsharded chase.
     fault_policy:
-        Degradation ladder of the supervised process fan-out pools
+        Degradation ladder of the supervised shard worker pool
         (:mod:`repro.core.supervision`): ``"recover"`` (the default)
-        respawns a crashed/hung/desynchronised worker in place, replays its
-        registration log and re-dispatches only the lost chunk — demoting
-        to the thread backend (coverage) or the unsharded chase
-        (saturation) only when the per-pool ``max_recoveries`` budget runs
-        out; ``"degrade_thread"`` / ``"degrade_serial"`` skip recovery and
-        drop to the thread / serial path on the first fault; ``"raise"``
-        propagates a :class:`~repro.core.supervision.FanoutFaultError`
-        immediately.  Every demotion warns a structured
+        respawns a crashed/hung/desynchronised worker in place, re-seeds it
+        and re-dispatches only the lost chunk — demoting to the unsharded
+        chase only when the per-pool ``max_recoveries`` budget runs out;
+        ``"degrade_serial"`` skips recovery and drops to the unsharded chase
+        on the first fault; ``"raise"`` propagates a
+        :class:`~repro.core.supervision.FanoutFaultError` immediately.
+        Every demotion warns a structured
         :class:`~repro.core.supervision.FanoutFault` carrying the fault
-        kind, pool and attempt.  Irrelevant unless
-        ``parallel_backend="process"`` (or ``shard_count > 1`` under it).
+        kind, pool and attempt.  Irrelevant unless ``shard_count > 1`` with
+        ``parallel_backend="process"``.
     deadline_policy:
         Per-dispatch timeouts of the supervised pools: base seconds per
         chunk (scaled by ``per_item`` work units, backed off per retry).
@@ -158,10 +136,9 @@ class DLearnConfig:
         :class:`~repro.testing.chaos.ChaosSpec` naming chunk ordinals at
         which a worker is killed, delayed past its deadline, shipped a
         corrupt wire, or denied an interner delta.  ``None`` — always the
-        production setting — injects nothing; the chaos suite and the
-        fault-tolerance benchmark set it to prove recovery yields
-        bit-identical results.  (The ``REPRO_CHAOS`` environment variable
-        gates the same injector operationally.)
+        production setting — injects nothing; the chaos suite sets it to
+        prove recovery yields bit-identical results.  (The ``REPRO_CHAOS``
+        environment variable gates the same injector operationally.)
     seed:
         Seed for every random choice (sampling of relevant tuples, of
         ``E+_s`` seeds and of training folds), making runs reproducible.
@@ -194,8 +171,8 @@ class DLearnConfig:
     max_repair_groups_per_clause: int = 200
     reduce_clauses: bool = True
     compiled_subsumption: bool = True
-    n_jobs: int = 1
-    parallel_backend: str = "thread"
+    n_jobs: int = 1  # Always 1: passed only by perfbench/workloads.py, as ``n_jobs=1``.
+    parallel_backend: str = "serial"
     shard_count: int = 1
     fault_policy: FaultPolicy = FaultPolicy()
     deadline_policy: DeadlinePolicy = DeadlinePolicy()
@@ -219,10 +196,10 @@ class DLearnConfig:
             raise ValueError("max_clauses must be >= 1")
         if not 0.0 <= self.min_clause_precision <= 1.0:
             raise ValueError("min_clause_precision must be in [0, 1]")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
-        if self.parallel_backend not in ("serial", "thread", "process"):
-            raise ValueError("parallel_backend must be one of 'serial', 'thread', 'process'")
+        if self.n_jobs != 1:
+            raise ValueError("n_jobs must be 1: coverage runs on the calling thread")
+        if self.parallel_backend not in ("serial", "process"):
+            raise ValueError("parallel_backend must be 'serial' or 'process'")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not isinstance(self.fault_policy, FaultPolicy):

@@ -34,8 +34,7 @@ against every example.  The engine therefore caches *both* sides:
   caches.
 
 :meth:`CoverageEngine.batch_covers` evaluates one clause against many
-examples through those caches, optionally fanning the per-example checks out
-across a thread pool (``DLearnConfig.n_jobs``);
+examples through those caches, proving every pair on the calling thread;
 :meth:`CoverageEngine.covers_serial` keeps the original one-call-at-a-time
 pipeline as an uncached reference implementation for tests and benchmarks.
 
@@ -44,30 +43,23 @@ the final coverage verdict of every (candidate clause, ground bottom clause,
 label semantics) triple is remembered, so the covering loop — which re-scores
 surviving candidates against the full example set round after round — never
 re-proves a pair it already settled.  The engine also owns the session's
-:class:`~repro.logic.compiled.ClauseCompiler`: every checker it drives
-(including the per-thread clones of the ``n_jobs`` fan-out) shares one term
-interner, so clauses are compiled to the integer plane once per session.
+:class:`~repro.logic.compiled.ClauseCompiler`: one term interner per
+session, so clauses are compiled to the integer plane once per session.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from ..logic.clauses import HornClause
-from ..logic.compiled import ClauseCompiler, general_to_wire, specific_to_wire
+from ..logic.compiled import ClauseCompiler
 from ..logic.subsumption import PreparedClause, PreparedGeneral, SubsumptionChecker
-from ..testing.chaos import ChaosInjector
 from .bottom_clause import BottomClauseBuilder
 from .config import DLearnConfig
-from .fanout import ProcessFanout, checker_params
 from .problem import Example
 from .repair_literals import repaired_clauses
-from .supervision import FanoutFault, FanoutFaultError, FaultCounters
 
 __all__ = ["CoverageEngine"]
 
@@ -130,17 +122,6 @@ def _has_cfd_repairs(clause: HornClause) -> bool:
     )
 
 
-def _chunk_size(n_examples: int, jobs: int) -> int:
-    """Per-future chunk length of the thread fan-out: ``n / (4 * jobs)``.
-
-    Four chunks per worker keeps the pool balanced when per-example costs
-    are skewed (a straggler chunk idles at most a quarter of one worker's
-    share) while cutting the per-future submission overhead ~chunk-size-fold
-    against the old one-future-per-example dispatch.
-    """
-    return max(1, n_examples // (4 * jobs))
-
-
 class CoverageEngine:
     """Computes example coverage for clauses with repair literals."""
 
@@ -167,9 +148,8 @@ class CoverageEngine:
                 compiler=checker.compiler or ClauseCompiler(),
             )
         self.checker = checker
-        #: Session-level clause compiler: one term interner shared by every
-        #: checker the engine drives, so compiled clause forms attached to
-        #: the prepared caches stay valid across worker threads.
+        #: Session-level clause compiler: compiled clause forms attached to
+        #: the prepared caches are only valid against its term interner.
         self.compiler = self.checker.compiler
         self._ground_cache: dict[tuple[object, ...], PreparedClause] = {}
         self._verdict_cache: dict[tuple[HornClause, HornClause, bool], bool] = {}
@@ -180,25 +160,13 @@ class CoverageEngine:
         #: cache — the stamp check at the prepared-ground funnel detects it.
         self._database = builder.problem.database
         self._database_stamp = self._database.mutation_stamp()
-        #: Guards verdict-cache mutation: ``batch_covers`` workers record
-        #: verdicts concurrently, and the size-cap eviction (check, clear,
-        #: insert) is not atomic without it.
+        #: Guards verdict-cache and stamp writes.  Nothing in the library
+        #: drives one engine from two threads, but the engine is
+        #: session-scoped state whose writes arch-lint TS01 requires to be
+        #: lock-guarded, and the size-cap eviction (check, clear, insert) is
+        #: not atomic without it.
         self._verdict_lock = threading.Lock()
-        self._thread_state = threading.local()
-        #: Process fan-out (``config.parallel_backend == "process"``): either
-        #: attached by the session from the shared
-        #: :class:`~repro.core.session.DatabasePreparation` pool, or created
-        #: lazily (and then owned) on first process-backend batch.
-        self._fanout: ProcessFanout | None = None
-        self._fanout_owned = False
-        self._fanout_failed = False
-        #: Fault/retry/recovery counters of the last process fan-out this
-        #: engine drove.  Kept past demotion (the pool is closed then), so
-        #: the session's observability survives the pool it describes.
-        self._fault_counters: FaultCounters | None = None
         # Pure per-clause computations, memoised for the engine's lifetime.
-        # ``lru_cache`` is thread-safe, which is what allows ``batch_covers``
-        # to fan example checks out across a worker pool.
         self._prepare_general = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(self.checker.prepare_general)
         self._prepare_specific = lru_cache(maxsize=_SPECIFIC_CACHE_SIZE)(self.checker.prepare)
         self._md_projection_of = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(_md_projection)
@@ -269,7 +237,7 @@ class CoverageEngine:
         if stamp == self._database_stamp:
             return
         with self._verdict_lock:
-            if stamp == self._database_stamp:  # another worker refreshed first
+            if stamp == self._database_stamp:  # refreshed while waiting for the lock
                 return
             self._ground_cache.clear()
             self._verdict_cache.clear()
@@ -298,19 +266,19 @@ class CoverageEngine:
     def covers(self, clause: HornClause | PreparedGeneral, example: Example) -> bool:
         """Coverage of *example* by *clause* under the label-appropriate semantics."""
         ground = self.prepared_ground(example)
-        return self._covers_ground(self.checker, self._as_general(clause), ground, positive=example.positive)
+        return self._covers_ground(self._as_general(clause), ground, positive=example.positive)
 
     def covers_ground_positive(
         self, clause: HornClause | PreparedGeneral, ground: HornClause | PreparedClause
     ) -> bool:
         """Definition 3.4 via the Section 4.3 procedure."""
-        return self._covers_ground(self.checker, self._as_general(clause), self._as_specific(ground), positive=True)
+        return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=True)
 
     def covers_ground_negative(
         self, clause: HornClause | PreparedGeneral, ground: HornClause | PreparedClause
     ) -> bool:
         """Definition 3.6 / Proposition 4.10."""
-        return self._covers_ground(self.checker, self._as_general(clause), self._as_specific(ground), positive=False)
+        return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=False)
 
     # ------------------------------------------------------------------ #
     # batched evaluation
@@ -321,128 +289,17 @@ class CoverageEngine:
         The general side of the subsumption pipeline (structural split, MD
         projection, CFD-variant expansion) is derived a single time and
         reused for every example; ground bottom clauses come from the
-        per-example cache.  With ``config.n_jobs > 1`` the per-example checks
-        fan out per ``config.parallel_backend``: chunked over a thread pool
-        (every worker thread gets its own :class:`SubsumptionChecker`
-        because the step-budget counter is per-instance state), or shipped
-        to the GIL-free process pool (:mod:`repro.core.fanout`) as compiled
-        integer-plane forms.  ``"serial"`` forces the calling thread — the
-        reference oracle for both.
+        per-example cache, saturated as one batch.
         """
         examples = list(examples)
         if not examples:
             return []
         general = self._as_general(clause)
-        # Ground clauses are built on the calling thread (the chase and its
-        # caches are not thread-safe), but saturation runs as one batch.
         grounds = self.prepared_grounds(examples)
-        jobs = self._effective_jobs(len(examples))
-        if jobs <= 1 or self.config.parallel_backend == "serial":
-            return [
-                self._covers_ground(self.checker, general, ground, positive=example.positive)
-                for example, ground in zip(examples, grounds)
-            ]
-        if self.config.parallel_backend == "process":
-            return self._process_batch(general, examples, grounds)
-        return self._thread_batch(general, examples, grounds, jobs)
-
-    def _thread_batch(
-        self,
-        general: PreparedGeneral,
-        examples: Sequence[Example],
-        grounds: Sequence[PreparedClause],
-        jobs: int,
-    ) -> list[bool]:
-        """Chunked thread fan-out: ~4 chunks per worker instead of per-example futures."""
-        pairs = list(zip(examples, grounds))
-        size = _chunk_size(len(pairs), jobs)
-        chunks = [pairs[start : start + size] for start in range(0, len(pairs), size)]
-
-        def run_chunk(chunk: list[tuple[Example, PreparedClause]]) -> list[bool]:
-            checker = self._thread_checker()
-            return [
-                self._covers_ground(checker, general, ground, positive=example.positive)
-                for example, ground in chunk
-            ]
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return [verdict for part in pool.map(run_chunk, chunks) for verdict in part]
-
-    def _process_batch(
-        self,
-        general: PreparedGeneral,
-        examples: Sequence[Example],
-        grounds: Sequence[PreparedClause],
-    ) -> list[bool]:
-        """Process-pool fan-out, verdict-cache aware.
-
-        Settled pairs are served from the session verdict cache without
-        touching the pool; in-batch duplicates (examples sharing a ground
-        clause and label) are proved once.  Returned verdicts merge into the
-        cache under the verdict lock, exactly like thread-worker inserts.
-        """
-        fanout = self._ensure_fanout()
-        if fanout is None:
-            return self._thread_batch(general, examples, grounds, self._effective_jobs(len(examples)))
-        results: list[bool] = [False] * len(examples)
-        slots: dict[tuple[HornClause, HornClause, bool], list[int]] = {}
-        pending: list[tuple[PreparedClause, bool, tuple[HornClause, HornClause, bool]]] = []
-        for index, (example, ground) in enumerate(zip(examples, grounds)):
-            key = (general.clause, ground.clause, example.positive)
-            cached = self._verdict_cache.get(key)
-            if cached is not None:
-                results[index] = cached
-                continue
-            seen = slots.get(key)
-            if seen is None:
-                slots[key] = [index]
-                pending.append((ground, example.positive, key))
-            else:
-                seen.append(index)
-        if not pending:
-            return results
-        try:
-            verdicts = fanout.dispatch(
-                [(general, ground, positive) for ground, positive, _ in pending],
-                self._fanout_general_bundle,
-                self._fanout_ground_bundle,
-            )
-        except FanoutFaultError as fault:
-            # Terminal under the policy: the supervisor already recovered
-            # what the budget allowed.  Retire the pool (broken worker and
-            # healthy siblings both — attached pools too: leaving them open
-            # leaked handles, and the preparation rebuilds closed pools on
-            # demand), then walk the remaining ladder rungs.
-            self._retire_fanout(fanout)
-            mode = self.config.fault_policy.mode
-            if mode == "raise":
-                raise
-            rung = "serial backend" if mode == "degrade_serial" else "thread backend"
-            warnings.warn(
-                FanoutFault(
-                    f"process fan-out demoted after a terminal {fault.kind} fault "
-                    f"({fault}); falling back to the {rung}",
-                    kind=fault.kind,
-                    pool=fault.pool or ProcessFanout.pool_name,
-                    attempt=fault.attempt,
-                ),
-                stacklevel=3,
-            )
-            if mode == "degrade_serial":
-                return [
-                    self._covers_ground(self.checker, general, ground, positive=example.positive)
-                    for example, ground in zip(examples, grounds)
-                ]
-            return self._thread_batch(general, examples, grounds, self._effective_jobs(len(examples)))
-        with self._verdict_lock:
-            for (_, _, key), verdict in zip(pending, verdicts):
-                if len(self._verdict_cache) >= _VERDICT_CACHE_SIZE:
-                    self._verdict_cache.clear()
-                self._verdict_cache[key] = verdict
-        for (_, _, key), verdict in zip(pending, verdicts):
-            for index in slots[key]:
-                results[index] = verdict
-        return results
+        return [
+            self._covers_ground(general, ground, positive=example.positive)
+            for example, ground in zip(examples, grounds)
+        ]
 
     def covered_counts(
         self,
@@ -466,8 +323,7 @@ class CoverageEngine:
         """Classification rule used at test time: the positive-coverage semantics."""
         ground = self.prepared_ground(example)
         return any(
-            self._covers_ground(self.checker, self._as_general(clause), ground, positive=True)
-            for clause in clauses
+            self._covers_ground(self._as_general(clause), ground, positive=True) for clause in clauses
         )
 
     def batch_predicts_positive(
@@ -475,31 +331,10 @@ class CoverageEngine:
     ) -> list[bool]:
         """Classify many examples against a whole definition, preparing every clause once."""
         prepared_clauses = [self._as_general(clause) for clause in clauses]
-        examples = list(examples)
-        grounds = self.prepared_grounds(examples)
-        jobs = self._effective_jobs(len(examples))
-
-        def classify(checker: SubsumptionChecker, ground: PreparedClause) -> bool:
-            return any(
-                self._covers_ground(checker, clause, ground, positive=True) for clause in prepared_clauses
-            )
-
-        if jobs <= 1 or self.config.parallel_backend == "serial":
-            return [classify(self.checker, ground) for ground in grounds]
-        # Chunked thread dispatch for both remaining backends: the
-        # per-definition ``any`` short-circuits across clauses, which the
-        # per-pair process protocol cannot express without proving every
-        # (clause, example) pair — the verdict cache still lets a prior
-        # process-backend ``batch_covers`` feed these checks.
-        size = _chunk_size(len(grounds), jobs)
-        chunks = [grounds[start : start + size] for start in range(0, len(grounds), size)]
-
-        def run_chunk(chunk: Sequence[PreparedClause]) -> list[bool]:
-            checker = self._thread_checker()
-            return [classify(checker, ground) for ground in chunk]
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return [flag for part in pool.map(run_chunk, chunks) for flag in part]
+        return [
+            any(self._covers_ground(clause, ground, positive=True) for clause in prepared_clauses)
+            for ground in self.prepared_grounds(list(examples))
+        ]
 
     # ------------------------------------------------------------------ #
     # serial reference path (pre-batching behaviour)
@@ -543,23 +378,14 @@ class CoverageEngine:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _covers_ground(
-        self,
-        checker: SubsumptionChecker,
-        general: PreparedGeneral,
-        ground: PreparedClause,
-        *,
-        positive: bool,
-    ) -> bool:
+    def _covers_ground(self, general: PreparedGeneral, ground: PreparedClause, *, positive: bool) -> bool:
         """The Section 4.3 pipeline over prepared clause forms, verdict-cached.
 
         The verdict is a pure function of (candidate clause, ground clause,
         label semantics); the covering loop scores surviving candidates
         against the full example set round after round, so settled pairs are
         served from the session-level cache instead of being re-proved.
-        *checker* is passed explicitly so worker threads can substitute their
-        own instance; every clause-level derivation goes through the engine's
-        LRU caches.
+        Every clause-level derivation goes through the engine's LRU caches.
         """
         # HornClause equality folds body-order variants; that is consistent
         # here because the prepared-clause LRU caches (and the ground cache)
@@ -570,22 +396,16 @@ class CoverageEngine:
         if cached is None:
             # Prove outside the lock (the expensive part, and verdicts are
             # pure so a duplicated proof is only wasted work); mutate under
-            # it so eviction and insert stay atomic across worker threads.
-            cached = self._prove_ground(checker, general, ground, positive=positive)
+            # it so eviction and insert stay atomic.
+            cached = self._prove_ground(general, ground, positive=positive)
             with self._verdict_lock:
                 if len(self._verdict_cache) >= _VERDICT_CACHE_SIZE:
                     self._verdict_cache.clear()
                 self._verdict_cache[key] = cached
         return cached
 
-    def _prove_ground(
-        self,
-        checker: SubsumptionChecker,
-        general: PreparedGeneral,
-        ground: PreparedClause,
-        *,
-        positive: bool,
-    ) -> bool:
+    def _prove_ground(self, general: PreparedGeneral, ground: PreparedClause, *, positive: bool) -> bool:
+        checker = self.checker
         if checker.subsumes(general, ground).subsumes:
             return True
         clause = general.clause
@@ -609,139 +429,3 @@ class CoverageEngine:
 
     def _as_specific(self, ground: HornClause | PreparedClause) -> PreparedClause:
         return ground if isinstance(ground, PreparedClause) else self._prepare_specific(ground)
-
-    def _effective_jobs(self, n_examples: int) -> int:
-        return max(1, min(self.config.n_jobs, n_examples))
-
-    # ------------------------------------------------------------------ #
-    # process fan-out plumbing
-    # ------------------------------------------------------------------ #
-    def attach_fanout(self, fanout: ProcessFanout) -> None:
-        """Use a shared (preparation-owned) process fan-out instead of creating one.
-
-        The fan-out must have been built over this engine's compiler interner
-        (:meth:`repro.core.session.DatabasePreparation.process_fanout`
-        guarantees it).  In healthy operation its lifecycle stays with the
-        owner; on a terminal fault the engine *does* close it (see
-        :meth:`_retire_fanout`) — a demoted pool is unusable either way and
-        the preparation rebuilds closed pools on demand.
-        """
-        with self._verdict_lock:
-            self._fanout = fanout
-            self._fanout_owned = False
-            self._fanout_failed = False
-            self._fault_counters = fanout.supervisor.counters
-
-    @property
-    def fault_counters(self) -> FaultCounters | None:
-        """Fault/retry/recovery counters of the engine's process fan-out.
-
-        ``None`` until a process pool was attached or created; survives
-        demotion so a session can report what its (now closed) pool went
-        through.
-        """
-        return self._fault_counters
-
-    def _retire_fanout(self, fanout: ProcessFanout) -> None:
-        """Drop a terminally faulted pool: close every worker, record the demotion."""
-        with self._verdict_lock:
-            self._fanout = None
-            self._fanout_owned = False
-            self._fanout_failed = True
-        fanout.supervisor.counters.demotions += 1
-        fanout.close()
-
-    def _ensure_fanout(self) -> ProcessFanout | None:
-        """The engine's process fan-out, created on first use; ``None`` after failure."""
-        if self._fanout is not None:
-            return self._fanout
-        if self._fanout_failed:
-            return None
-        try:
-            fanout = ProcessFanout(
-                self.compiler.terms,
-                checker_params(self.checker),
-                self.config.n_jobs,
-                fault_policy=self.config.fault_policy,
-                deadline_policy=self.config.deadline_policy,
-                chaos=ChaosInjector(self.config.chaos) if self.config.chaos is not None else None,
-            )
-        except (OSError, PermissionError, ValueError) as error:
-            warnings.warn(
-                FanoutFault(
-                    f"process fan-out unavailable ({error!r}); falling back to the thread backend",
-                    kind="seed-failure",
-                    pool=ProcessFanout.pool_name,
-                    attempt=0,
-                ),
-                stacklevel=3,
-            )
-            with self._verdict_lock:
-                self._fanout_failed = True
-            return None
-        with self._verdict_lock:
-            self._fanout = fanout
-            self._fanout_owned = True
-            self._fault_counters = fanout.supervisor.counters
-        # Engine-owned pools die with the engine; attached pools belong to
-        # the preparation that built them.
-        weakref.finalize(self, fanout.close)
-        return fanout
-
-    def close(self) -> None:
-        """Shut down the engine-owned process fan-out (attached pools stay up)."""
-        with self._verdict_lock:
-            fanout, owned = self._fanout, self._fanout_owned
-            self._fanout = None
-            self._fanout_owned = False
-        if fanout is not None and owned:
-            fanout.close()
-
-    def _fanout_general_bundle(self, general: PreparedGeneral) -> tuple:
-        """Wire bundle of a candidate clause: main + (for CFD clauses) MD/variant forms.
-
-        ``None`` entries mean "use the main form" — exact for CFD-free
-        clauses, where the MD projection and the CFD expansion are
-        identities (see :data:`repro.core.fanout.Bundle`).
-        """
-        clause = general.clause
-        main = general_to_wire(self.compiler.compiled_general_for(general))
-        if not _has_cfd_repairs(clause):
-            return (main, None, None, False)
-        md = self.compiler.compiled_general_for(self._prepare_general(self._md_projection_of(clause)))
-        variants = tuple(
-            general_to_wire(self.compiler.compiled_general_for(self._prepare_general(v)))
-            for v in self._cfd_variants_of(clause)
-        )
-        return (main, general_to_wire(md), variants, True)
-
-    def _fanout_ground_bundle(self, ground: PreparedClause) -> tuple:
-        """Wire bundle of a prepared ground bottom clause (see the general twin)."""
-        clause = ground.clause
-        main = specific_to_wire(self.compiler.compiled_specific_for(ground))
-        if not _has_cfd_repairs(clause):
-            return (main, None, None, False)
-        md = self.compiler.compiled_specific_for(self._prepare_specific(self._md_projection_of(clause)))
-        variants = tuple(
-            specific_to_wire(self.compiler.compiled_specific_for(self._prepare_specific(v)))
-            for v in self._cfd_variants_of(clause)
-        )
-        return (main, specific_to_wire(md), variants, True)
-
-    def _thread_checker(self) -> SubsumptionChecker:
-        """Per-thread checker clone for pool workers.
-
-        ``SubsumptionChecker`` keeps its step-budget counter on the instance,
-        so concurrent searches must not share one checker object.
-        """
-        checker = getattr(self._thread_state, "checker", None)
-        if checker is None:
-            checker = SubsumptionChecker(
-                respect_repair_connectivity=self.checker.respect_repair_connectivity,
-                condition_subset=self.checker.condition_subset,
-                max_steps=self.checker.max_steps,
-                use_compiled=self.checker.use_compiled,
-                compiler=self.compiler,
-            )
-            self._thread_state.checker = checker
-        return checker

@@ -81,8 +81,7 @@ class LearnedModel:
         """Classify *examples*: ``True`` when the learned definition covers the tuple.
 
         Runs through the batched coverage API: every clause of the definition
-        is prepared once and reused across all examples (and the fan-out
-        honours ``config.n_jobs``).  With a learning session attached the
+        is prepared once and reused across all examples.  With a learning session attached the
         evaluation engine is memoised per example-value set, so consecutive
         calls classify through the same prepared indexes and ground clauses.
         """

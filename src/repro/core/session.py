@@ -50,7 +50,7 @@ from ..testing.chaos import ChaosInjector, ChaosSpec
 from .bottom_clause import BottomClauseBuilder, ClauseAssembler
 from .config import DLearnConfig
 from .coverage import CoverageEngine
-from .fanout import ProcessFanout, SaturationFanout, SerialShardScatter, checker_params
+from .fanout import SaturationFanout, SerialShardScatter
 from .generalization import Generalizer
 from .problem import Example, ExampleSet, LearningProblem
 from .saturation import DatabaseProbeCache, FrontierChase, SaturationCache
@@ -270,7 +270,6 @@ class DatabasePreparation:
         #: stay valid across sessions.
         self.compiler = ClauseCompiler()
         self._md_caches: dict[str, _MdIndexCache] = {}
-        self._fanouts: dict[tuple, ProcessFanout] = {}
         self._sharded: dict[int, ShardedInstance] = {}
         self._scatters: dict[tuple, SaturationFanout | SerialShardScatter] = {}
 
@@ -279,48 +278,6 @@ class DatabasePreparation:
         return cls(problem.database, problem.target, problem.similarity_operator)
 
     # ------------------------------------------------------------------ #
-    def process_fanout(
-        self,
-        checker: SubsumptionChecker,
-        n_jobs: int,
-        *,
-        fault_policy: FaultPolicy | None = None,
-        deadline_policy: DeadlinePolicy | None = None,
-        chaos: ChaosSpec | None = None,
-    ) -> ProcessFanout:
-        """The shared process fan-out pool for sessions over this database.
-
-        Memoised per (worker count, checker parameters, supervision
-        policies): every session over one preparation compiles through the
-        same :class:`~repro.logic.compiled.ClauseCompiler`, so their
-        compiled forms reference one interner and can share one seeded
-        worker pool — folds and prediction sessions reuse already-shipped
-        clause forms instead of re-seeding processes per session.  Worker
-        processes spawn lazily on first dispatch, so an unused pool costs
-        nothing.  A demoted (closed) pool is rebuilt on the next request,
-        with a fresh chaos injector when a spec is given.
-        """
-        params = checker_params(checker)
-        key = (
-            n_jobs,
-            tuple(sorted(params.items(), key=lambda item: item[0])),
-            fault_policy,
-            deadline_policy,
-            chaos,
-        )
-        fanout = self._fanouts.get(key)
-        if fanout is None or fanout._closed:
-            fanout = ProcessFanout(
-                self.compiler.terms,
-                params,
-                n_jobs,
-                fault_policy=fault_policy,
-                deadline_policy=deadline_policy,
-                chaos=ChaosInjector(chaos) if chaos is not None else None,
-            )
-            self._fanouts[key] = fanout
-        return fanout
-
     def sharded_instance(self, shard_count: int) -> ShardedInstance:
         """Memoised row-wise sharded projection of this database.
 
@@ -353,9 +310,9 @@ class DatabasePreparation:
         processes answering each depth's probes GIL-free; any other backend
         gets the in-process :class:`~repro.core.fanout.SerialShardScatter`
         over the same shards.  Memoised per (shard count, plane, supervision
-        policies) so folds and prediction sessions share one seeded pool,
-        mirroring :meth:`process_fanout`; demoted (closed) planes are
-        rebuilt on the next request.
+        policies) so folds and prediction sessions share one seeded pool;
+        demoted (closed) planes are rebuilt on the next request, with a
+        fresh chaos injector when a spec is given.
         """
         kind = "process" if backend == "process" else "serial"
         key = (shard_count, kind, fault_policy, deadline_policy, chaos)
@@ -376,10 +333,7 @@ class DatabasePreparation:
         return scatter
 
     def close(self) -> None:
-        """Shut down every worker pool (coverage and shard scatter) this preparation owns."""
-        for fanout in self._fanouts.values():
-            fanout.close()
-        self._fanouts.clear()
+        """Shut down every shard scatter plane this preparation owns."""
         for scatter in self._scatters.values():
             scatter.close()
         self._scatters.clear()
@@ -482,23 +436,6 @@ class LearningSession:
             config,
             SubsumptionChecker(compiler=self.preparation.compiler),
         )
-        if config.parallel_backend == "process" and config.n_jobs > 1:
-            # Share one seeded worker pool across every session over this
-            # preparation (folds, prediction); pool creation is lazy-spawning
-            # and cheap.  Where worker processes cannot be created at all the
-            # engine falls back to the thread backend on first dispatch.
-            try:
-                self.engine.attach_fanout(
-                    self.preparation.process_fanout(
-                        self.engine.checker,
-                        config.n_jobs,
-                        fault_policy=config.fault_policy,
-                        deadline_policy=config.deadline_policy,
-                        chaos=config.chaos,
-                    )
-                )
-            except (OSError, PermissionError, ValueError):
-                pass  # the engine's own _ensure_fanout will warn and fall back
         if config.shard_count > 1 and not serial_saturation:
             # Scatter each chase depth over row-wise shards: worker processes
             # under the process backend, the in-process shard plane otherwise.
@@ -577,20 +514,15 @@ class LearningSession:
     # observability
     # ------------------------------------------------------------------ #
     def fault_stats(self) -> dict[str, dict[str, object] | None]:
-        """Fault/retry/recovery counters of the session's supervised pools.
+        """Fault/retry/recovery counters of the session's supervised pool.
 
-        One entry per pool plane — ``"coverage"`` (the coverage engine's
-        process fan-out) and ``"saturation"`` (the chase's shard scatter) —
-        each a plain-dict snapshot of
+        One entry per pool plane — ``"saturation"`` (the chase's shard
+        scatter) — a plain-dict snapshot of
         :class:`~repro.core.supervision.FaultCounters` (``faults`` by kind,
         ``retries``, ``recoveries``, ``demotions``, ``recovery_seconds``),
         or ``None`` where no supervised pool was ever attached.  Counters
         survive demotion, so a session that fell back mid-``fit`` still
         reports what its pool went through.
         """
-        coverage = self.engine.fault_counters
         saturation = self.chase.fault_counters
-        return {
-            "coverage": coverage.as_dict() if coverage is not None else None,
-            "saturation": saturation.as_dict() if saturation is not None else None,
-        }
+        return {"saturation": saturation.as_dict() if saturation is not None else None}

@@ -1,25 +1,24 @@
-"""Fault supervision for the process fan-out planes.
+"""Fault supervision for the process fan-out plane.
 
-The fan-out pools of :mod:`repro.core.fanout` are built from pure wire
+The shard worker pool of :mod:`repro.core.fanout` is built from pure wire
 state: every worker is seeded by an executor initializer from picklable
-snapshots (checker parameters, interner flag planes, shard wires) and every
-later dispatch carries only deltas and handles.  That makes workers
-*replayable* — a dead worker can be respawned from scratch, its
-registration log re-shipped, and only the lost chunk re-dispatched, with
-bit-identical results.  This module is the driver for that property:
+snapshots (value-interner flag planes, shard wires) and every later
+dispatch carries only deltas.  That makes workers *replayable* — a dead
+worker can be respawned from scratch, re-seeded from the current state, and
+only the lost chunk re-dispatched, with bit-identical results.  This module
+is the driver for that property:
 
 * :class:`DeadlinePolicy` — per-dispatch timeouts with exponential backoff,
   so a hung worker is killed and recovered instead of blocking ``fit()``
   forever;
 * :class:`FaultPolicy` — the degradation ladder (``recover`` →
-  ``degrade_thread`` → ``degrade_serial`` → ``raise``) with a per-pool
-  recovery budget, replacing the old one-shot demote-to-threads fallback;
+  ``degrade_serial`` → ``raise``) with a per-pool recovery budget;
 * :class:`FanoutFault` — a :class:`RuntimeWarning` subclass carrying a
   machine-readable fault taxonomy (``crash`` / ``timeout`` / ``desync`` /
   ``seed-failure``) plus the pool name and attempt number, so callers can
   filter warnings structurally instead of string-matching;
 * :class:`FaultCounters` — per-pool fault / retry / recovery counters,
-  surfaced on the session next to the checker's ``SearchStats``;
+  surfaced by :meth:`repro.core.session.LearningSession.fault_stats`;
 * :class:`PoolSupervisor` — the dispatch loop itself: await every future
   under a deadline, classify faults, recover the owning worker through a
   pool-supplied callback, and resubmit the lost chunk; when the policy or
@@ -27,8 +26,8 @@ bit-identical results.  This module is the driver for that property:
   caller's ladder.
 
 The module is deliberately stdlib-only (no imports from the rest of
-``repro``): the fan-out classes, the config and the coverage/saturation
-ladders all import *it*.
+``repro``): the fan-out classes, the config and the saturation ladder all
+import *it*.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ __all__ = [
 FAULT_KINDS = ("crash", "timeout", "desync", "seed-failure")
 
 #: Degradation-ladder rungs, most to least capable.
-FAULT_MODES = ("recover", "degrade_thread", "degrade_serial", "raise")
+FAULT_MODES = ("recover", "degrade_serial", "raise")
 
 
 class FanoutFault(RuntimeWarning):
@@ -71,7 +70,7 @@ class FanoutFault(RuntimeWarning):
 
     Subclasses :class:`RuntimeWarning` so existing filters keep matching;
     carries the fault ``kind`` (one of :data:`FAULT_KINDS`), the ``pool``
-    it happened on (``"coverage"`` / ``"saturation"``) and the ``attempt``
+    it happened on (``"saturation"``) and the ``attempt``
     ordinal, so tests and callers can filter precisely.
     """
 
@@ -85,8 +84,8 @@ class FanoutFault(RuntimeWarning):
 class FanoutFaultError(RuntimeError):
     """A terminal pool fault: the policy forbids (further) recovery.
 
-    Raised by :class:`PoolSupervisor` out of a dispatch; the coverage and
-    saturation callers catch it and walk their degradation ladder.  Carries
+    Raised by :class:`PoolSupervisor` out of a dispatch; the saturation
+    chase catches it and walks the degradation ladder.  Carries
     the same taxonomy fields as :class:`FanoutFault`.
     """
 
@@ -149,12 +148,12 @@ class FaultPolicy:
     """The degradation ladder and the per-pool fault budget.
 
     ``mode`` picks the top rung: ``"recover"`` (the default) respawns and
-    replays faulted workers in place, demoting only when the budget runs
-    out; ``"degrade_thread"`` / ``"degrade_serial"`` skip recovery and drop
-    straight to the thread / serial backend on the first fault;
-    ``"raise"`` propagates a :class:`FanoutFaultError` immediately — no
-    recovery, no fallback — for callers that must not mask faults.
-    ``max_recoveries`` bounds respawn-and-replay cycles over the pool's
+    re-seeds faulted workers in place, demoting only when the budget runs
+    out; ``"degrade_serial"`` skips recovery and drops straight to the
+    unsharded chase on the first fault; ``"raise"`` propagates a
+    :class:`FanoutFaultError` immediately — no recovery, no fallback — for
+    callers that must not mask faults.
+    ``max_recoveries`` bounds respawn-and-re-seed cycles over the pool's
     lifetime, so a persistently faulting environment degrades instead of
     thrashing.
     """
@@ -176,10 +175,9 @@ class FaultPolicy:
 class FaultCounters:
     """Per-pool observability: how often what failed, and what it cost.
 
-    Exposed as ``<fanout>.supervisor.counters`` and aggregated by
-    :meth:`repro.core.session.LearningSession.fault_stats` next to the
-    checker's ``SearchStats`` — a session that recovered from faults says
-    so, in numbers.
+    Exposed as ``<fanout>.supervisor.counters`` and reported by
+    :meth:`repro.core.session.LearningSession.fault_stats` — a session that
+    recovered from faults says so, in numbers.
     """
 
     __slots__ = ("faults", "retries", "recoveries", "demotions", "recovery_seconds")
@@ -218,9 +216,9 @@ class WorkerJob:
 
     ``payload`` is what the first attempt ships (it may carry a one-shot
     chaos directive); ``retry_payload`` is the clean payload a *recovered*
-    worker gets — after respawn-and-replay the worker holds every
-    registration and the full interner snapshot, so the retry carries no
-    delta and no bundles, only the work list.  ``units`` scales the
+    worker gets — after a respawn the worker is seeded with its current
+    shards and the full interner snapshot, so the retry carries no delta
+    and no shard wires, only the probes.  ``units`` scales the
     deadline.
     """
 
@@ -264,7 +262,7 @@ class PoolSupervisor:
 
     Owns no processes itself.  The pool supplies two callbacks per run:
     ``submit(worker, payload) -> Future`` and ``recover(worker) -> None``
-    (kill, respawn, replay the registration log).  The supervisor submits
+    (kill, respawn, re-seed from current state).  The supervisor submits
     every job, awaits each under the :class:`DeadlinePolicy`, and on a
     fault warns a :class:`FanoutFault`, recovers the worker, and resubmits
     the job's clean retry payload with a backed-off deadline — until the
@@ -350,8 +348,8 @@ class PoolSupervisor:
                 warnings.warn(
                     FanoutFault(
                         f"{self.pool_name} fan-out worker {job.worker} faulted "
-                        f"({kind}: {error!r}); respawning and replaying its "
-                        f"registration log (attempt {attempt})",
+                        f"({kind}: {error!r}); respawning and re-seeding it "
+                        f"(attempt {attempt})",
                         kind=kind,
                         pool=self.pool_name,
                         attempt=attempt,

@@ -140,10 +140,9 @@ class ValueInterner:
         :class:`~repro.db.sharding.ValueInternerView` from these bytes and
         never see a decoded value.  The interner is append-only, so a worker
         seeded at one watermark is brought current by the delta
-        ``snapshot_flags(worker_watermark)`` — the same protocol as
-        :meth:`repro.logic.compiled.TermInterner.snapshot_flags`.  Unlike the
-        term interner there is no lock here: a ``ValueInterner`` is owned by
-        one instance and mutated only from the thread driving it.
+        ``snapshot_flags(worker_watermark)``.  There is no lock here: a
+        ``ValueInterner`` is owned by one instance and mutated only from the
+        thread driving it.
         """
         mark = len(self._values)
         return start, mark, bytes(

@@ -30,8 +30,7 @@ Identity by construction:
 
 Process boundary: a shard crosses once, as a byte wire form
 (:meth:`RelationShard.to_wire` — ``array('q')`` buffers, no Python object
-graph), mirroring the PR 8 ``InternerView`` machinery of
-:mod:`repro.logic.compiled`.  Later dispatches carry only interner flag
+graph).  Later dispatches carry only interner flag
 deltas (:meth:`~repro.db.interning.ValueInterner.snapshot_flags`), id
 frontiers, and append/rebuild row deltas computed by
 :meth:`ShardedInstance.sync`.  Workers rebuild a :class:`ValueInternerView` —
@@ -97,10 +96,9 @@ class ValueInternerView:
     the only per-id fact that crosses the process boundary is the is-string
     flag (the chaseability type test).  The view is append-only and extended
     by the deltas each dispatch carries; its watermark doubles as a desync
-    guard (a frontier id beyond the watermark means a lost delta).  Mirrors
-    :class:`repro.logic.compiled.InternerView` exactly: idempotent
-    re-delivery, loud ``ValueError`` on a gap, loud ``TypeError`` on every
-    value-level surface.
+    guard (a frontier id beyond the watermark means a lost delta).
+    Re-delivery is idempotent, a gap raises ``ValueError``, and every
+    value-level surface raises ``TypeError``.
     """
 
     __slots__ = ("_is_str",)

@@ -51,14 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (subsumption imports 
 __all__ = [
     "TermId",
     "TermInterner",
-    "InternerView",
     "ClauseCompiler",
     "CompiledGeneral",
     "CompiledSpecific",
-    "general_to_wire",
-    "general_from_wire",
-    "specific_to_wire",
-    "specific_from_wire",
 ]
 
 #: Opaque alias for the dense term ids handed out by :class:`TermInterner`.
@@ -99,9 +94,9 @@ class TermInterner:
     Ids are only meaningful relative to the interner that produced them; two
     compiled clause forms can be matched against each other iff they were
     compiled through the same interner (the checker guards this).  The
-    interner is append-only and thread-safe: the coverage engine's ``n_jobs``
-    fan-out compiles clauses from worker threads against one shared
-    dictionary.
+    interner is append-only.  One interner serves every session over a
+    database preparation, so first-sight inserts are locked: sessions driven
+    from different threads must never hand out one id twice.
     """
 
     __slots__ = ("_ids", "_terms", "_is_var", "_lock")
@@ -137,78 +132,11 @@ class TermInterner:
     def is_var(self, tid: TermId) -> bool:
         return self._is_var[tid]
 
-    def watermark(self) -> int:
-        """Number of ids handed out so far; ids below it are stable forever."""
-        return len(self._terms)
-
-    def snapshot_flags(self, start: int = 0) -> tuple[int, int, bytes]:
-        """Consistent ``(start, watermark, is-var flags[start:watermark])`` snapshot.
-
-        The interner is append-only, so the flags for ids below the returned
-        watermark never change afterwards — a worker process that applies
-        successive snapshots as suffix extensions reconstructs exactly the
-        ``is_var`` plane the parent had at each watermark.  Taken under the
-        intern lock so the flag list is never observed mid-append.
-        """
-        with self._lock:
-            mark = len(self._is_var)
-            return start, mark, bytes(self._is_var[start:mark])
-
     def __len__(self) -> int:
         return len(self._terms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TermInterner({len(self)} terms)"
-
-
-class InternerView(TermInterner):
-    """Worker-side read-only projection of a parent :class:`TermInterner`.
-
-    A process-pool worker never needs the boxed terms: the compiled search
-    decides verdicts from machine-int comparisons plus the per-id *is-var*
-    flag (:meth:`TermInterner.is_var` drives condition substitution and the
-    inequality semantics), and witness decoding stays in the parent.  The
-    view therefore carries only the flag plane, reconstructed from
-    :meth:`TermInterner.snapshot_flags` deltas, and refuses the term-boxing
-    surface loudly rather than silently desynchronising.
-
-    Subclassing (rather than duck-typing) keeps every ``terms: TermInterner``
-    annotation on the compiled forms true in worker processes.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def extend(self, start: int, mark: int, flags: bytes) -> None:
-        """Apply one ``snapshot_flags`` delta; idempotent on overlaps.
-
-        Re-applying an already-seen prefix is a no-op (dispatches may resend
-        a delta after a retry); a *gap* — ``start`` beyond the current length
-        — means a lost delta and raises rather than mis-indexing every
-        subsequent id.
-        """
-        have = len(self._is_var)
-        if start > have:
-            raise ValueError(
-                f"interner delta gap: view has {have} flags, delta starts at {start}"
-            )
-        if mark <= have:
-            return
-        self._is_var.extend(bool(flag) for flag in flags[have - start:])
-
-    def intern(self, term: Term) -> TermId:
-        raise TypeError("InternerView is read-only: workers receive ids, never terms")
-
-    def term_of(self, tid: TermId) -> Term:
-        raise TypeError("InternerView holds no boxed terms; decode witnesses in the parent")
-
-    def __len__(self) -> int:
-        return len(self._is_var)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InternerView({len(self)} flags)"
 
 
 class _Goal:
@@ -425,10 +353,11 @@ class ClauseCompiler:
             compiled = self._specific_cache.get(key)
             if compiled is None:
                 compiled = self.compile_specific(prepared)
-                # The compiler is shared across n_jobs worker threads;
-                # eviction (check, clear, insert) must be atomic.  A racing
-                # duplicate compile is fine — forms are pure — but a clear
-                # interleaving with an insert must not lose the entry.
+                # The compiler is shared by every session over one database
+                # preparation; eviction (check, clear, insert) stays atomic
+                # under its lock.  A racing duplicate compile would be fine —
+                # forms are pure — but a clear interleaving with an insert
+                # must not lose the entry.
                 with self._lock:
                     if len(self._specific_cache) >= _COMPILE_CACHE_SIZE:
                         self._specific_cache.clear()
@@ -503,8 +432,8 @@ class ClauseCompiler:
         compiled.body_entries = tuple(body_entries)
         self._decompose(compiled)
 
-        # See compiled_specific_for: shared across worker threads, so the
-        # eviction-and-insert pair must hold the compiler lock.
+        # See compiled_specific_for: the eviction-and-insert pair holds the
+        # compiler lock.
         with self._lock:
             if len(self._general_cache) >= _COMPILE_CACHE_SIZE:
                 self._general_cache.clear()
@@ -639,120 +568,6 @@ class ClauseCompiler:
             ids = [self.terms.intern(t) for t in pair]
             out.add((ids[0], ids[0]) if len(ids) == 1 else _pair(ids[0], ids[1]))
         return out
-
-
-# --------------------------------------------------------------------------- #
-# wire forms — the process fan-out's unit of shipment
-# --------------------------------------------------------------------------- #
-#
-# Compiled forms are flat ints/tuples *plus* a handful of boxed-object faces
-# (the source clause, slot variables, per-row literals) that only the parent
-# needs: verdicts come out of machine-int comparisons and the is-var flag
-# plane, witness decoding is parent-side work.  The wire forms strip the
-# boxed faces so a general/specific form pickles as plain tuples, and the
-# ``from_wire`` reconstructors deliberately leave those slots *unset* — an
-# accidental worker-side access fails loudly with AttributeError instead of
-# returning stale objects.
-
-def general_to_wire(cg: CompiledGeneral) -> tuple:
-    """The integer-only face of a :class:`CompiledGeneral`, cheap to pickle."""
-    return (
-        cg.head_key,
-        cg.head_codes,
-        cg.nslots,
-        tuple(cg.slot_ids),
-        tuple((goal.sig, goal.codes, goal.cond) for goal in cg.goals),
-        cg.comparison_triples,
-        cg.comparison_is_eq,
-        cg.components,
-        cg.ground_triples,
-        cg.all_goal_idxs,
-        cg.all_triples_ordered,
-    )
-
-
-def general_from_wire(wire: tuple, terms: TermInterner) -> CompiledGeneral:
-    """Rebuild a search-ready :class:`CompiledGeneral` over *terms*.
-
-    Goal footprints are re-derived from the codes (the same function of
-    codes + condition that :meth:`ClauseCompiler.compile_general` computes),
-    and ``var_slot`` from ``slot_ids``.  ``clause``,
-    ``slot_terms``, ``comparison_literals`` and ``body_entries`` stay unset.
-    """
-    (head_key, head_codes, nslots, slot_ids, goal_rows, comparison_triples,
-     comparison_is_eq, components, ground_triples, all_goal_idxs,
-     all_triples_ordered) = wire
-    compiled = CompiledGeneral()
-    compiled.terms = terms
-    compiled.head_key = head_key
-    compiled.head_codes = head_codes
-    compiled.nslots = nslots
-    compiled.slot_ids = slot_ids
-    compiled.var_slot = {tid: slot for slot, tid in enumerate(slot_ids)}
-    goals: list[_Goal] = []
-    for sig, codes, cond in goal_rows:
-        footprint = {~c for c in codes if c < 0}
-        if cond:
-            for _, left, right in cond:
-                if left < 0:
-                    footprint.add(~left)
-                if right < 0:
-                    footprint.add(~right)
-        goals.append(_Goal(sig, codes, cond, frozenset(footprint)))
-    compiled.goals = tuple(goals)
-    compiled.comparison_triples = comparison_triples
-    compiled.comparison_is_eq = comparison_is_eq
-    compiled.components = components
-    compiled.ground_triples = ground_triples
-    compiled.all_goal_idxs = all_goal_idxs
-    compiled.all_triples_ordered = all_triples_ordered
-    return compiled
-
-
-def specific_to_wire(cs: CompiledSpecific) -> tuple:
-    """The integer-only face of a :class:`CompiledSpecific`, cheap to pickle."""
-    return (
-        cs.head_key,
-        tuple(cs.head_ids),
-        tuple(
-            (sig, group.base, group.nrows, tuple(group.pos_masks))
-            for sig, group in cs.groups.items()
-        ),
-        tuple(cs.rows),
-        tuple(cs.conds),
-        tuple(cs.canon_of),
-        cs.collapse_ids,
-        frozenset(cs.similar),
-        frozenset(cs.unequal),
-        cs.conn_map,
-        cs.has_repairs,
-    )
-
-
-def specific_from_wire(wire: tuple, terms: TermInterner) -> CompiledSpecific:
-    """Rebuild a search-ready :class:`CompiledSpecific` over *terms*.
-
-    ``literal_of`` stays unset (witness literals live in the parent).
-    """
-    (head_key, head_ids, group_rows, rows, conds, canon_of, collapse_ids,
-     similar, unequal, conn_map, has_repairs) = wire
-    compiled = CompiledSpecific()
-    compiled.terms = terms
-    compiled.head_key = head_key
-    compiled.head_ids = head_ids
-    compiled.groups = {
-        sig: _Group(base, nrows, [dict(masks) for masks in pos_masks])
-        for sig, base, nrows, pos_masks in group_rows
-    }
-    compiled.rows = list(rows)
-    compiled.conds = list(conds)
-    compiled.canon_of = list(canon_of)
-    compiled.collapse_ids = dict(collapse_ids)
-    compiled.similar = set(similar)
-    compiled.unequal = set(unequal)
-    compiled.conn_map = dict(conn_map)
-    compiled.has_repairs = has_repairs
-    return compiled
 
 
 class CompiledSearch:

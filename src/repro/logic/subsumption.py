@@ -123,7 +123,7 @@ class SearchStats:
     """Per-checker counters of the compiled engine's search profile.
 
     ``checks`` counts the compiled engine's verdicts
-    (:meth:`SubsumptionChecker.subsumes`, :meth:`SubsumptionChecker.subsumes_pair`);
+    (:meth:`SubsumptionChecker.subsumes`);
     ``retries`` / ``retry_exhausted`` count the full-backtracking fallbacks
     of :meth:`SubsumptionChecker.retained_generalization` and how many of
     them burnt their whole step budget.  Counters are cumulative;
@@ -203,8 +203,8 @@ class SubsumptionChecker:
 
     A single instance is cheap and reusable across many checks, but NOT
     thread-safe: the step-budget counter (``_steps``) lives on the instance,
-    so concurrent searches must each use their own checker (see
-    :meth:`repro.core.coverage.CoverageEngine._thread_checker`).
+    so concurrent searches must each use their own checker (as the per-thread
+    default checker of :func:`theta_subsumes` does).
 
     Parameters
     ----------
@@ -233,9 +233,9 @@ class SubsumptionChecker:
     compiler:
         The :class:`~repro.logic.compiled.ClauseCompiler` whose term
         dictionary compiled clause forms are expressed in.  Checkers that
-        exchange prepared clauses (e.g. the coverage engine's thread-pool
-        clones) must share one compiler; omitted, a private one is created
-        on first compiled use.
+        exchange prepared clauses (e.g. the sessions over one database
+        preparation) must share one compiler; omitted, a private one is
+        created on first compiled use.
     """
 
     def __init__(
@@ -340,19 +340,6 @@ class SubsumptionChecker:
         if search is None:
             return SubsumptionResult(False)
         return SubsumptionResult(True, search.witness_theta(), search.witness_mapped())
-
-    def subsumes_pair(self, cg: CompiledGeneral, cs: CompiledSpecific) -> bool:
-        """Verdict-only subsumption over already-compiled forms.
-
-        The process fan-out's entry point: a worker holds wire-reconstructed
-        compiled forms over an :class:`~repro.logic.compiled.InternerView`
-        (no boxed terms), so witness decoding is impossible there — but the
-        verdict needs only the integer plane.  Runs the exact search
-        :meth:`subsumes` runs (budgeted search, connectivity retry), so
-        budget-exhaustion points — and with them every verdict — match the
-        parent engine bit-for-bit.
-        """
-        return self._run_compiled(cg, cs) is not None
 
     def _run_compiled(self, cg: CompiledGeneral, cs: CompiledSpecific) -> CompiledSearch | None:
         """Compiled search to a verdict under ``max_steps``; the successful search or ``None``.
@@ -982,8 +969,8 @@ def _condition_key_set(condition: Condition) -> frozenset[tuple[str, frozenset[T
 
 #: Default checkers for the convenience wrapper are per-thread: a checker's
 #: step-budget counter is instance state, so one shared module-level instance
-#: would race under the coverage engine's ``n_jobs`` thread fan-out (one
-#: thread's long search could exhaust — or reset — another's budget).
+#: would race when callers on two threads use the wrapper (one thread's long
+#: search could exhaust — or reset — another's budget).
 _DEFAULT_CHECKERS = threading.local()
 
 

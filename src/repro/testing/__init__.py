@@ -1,9 +1,9 @@
 """Test-support machinery shipped with the library.
 
 :mod:`repro.testing.chaos` is the deterministic fault injector the chaos
-suite and the fault-tolerance benchmark drive the supervised fan-out planes
-with.  It lives in ``src`` (not ``tests/``) so the benchmark, the CI smoke
-job and external integration tests can all import one canonical injector.
+suite drives the supervised shard worker pool with.  It lives in ``src``
+(not ``tests/``) because ``DLearnConfig.chaos`` and the ``REPRO_CHAOS``
+environment gate construct it from library code.
 """
 
 from .chaos import ChaosInjector, ChaosSpec, chaos_from_env

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the supervised fan-out planes.
+"""Deterministic fault injection for the supervised shard worker pool.
 
 The supervision layer (:mod:`repro.core.supervision`) claims that a worker
 killed mid-dispatch, a chunk delayed past its deadline, a corrupted wire
@@ -9,16 +9,15 @@ repeatably, at a chosen dispatch.  This module is the producer.
 A :class:`ChaosSpec` names the faults by **chunk ordinal**: every payload a
 fan-out ships to a worker increments one deterministic counter, and a fault
 fires when the counter hits a listed ordinal.  Chunk ordinals are stable
-because dispatch construction is deterministic (sorted frontiers, FIFO
-routing, insertion-ordered registries) — the same workload faults at the
+because dispatch construction is deterministic (sorted frontiers, one
+payload per shard in shard order) — the same workload faults at the
 same chunk every run, under ``fork`` and ``spawn`` alike.  Faults are
 one-shot by construction: a recovered worker's retry payload carries no
 directive, and the counter never revisits an ordinal.
 
 Gating: the injector is inert unless explicitly constructed — by the chaos
-suite and the fault-tolerance benchmark through
-``DLearnConfig(chaos=ChaosSpec(...))``, or operationally through the
-``REPRO_CHAOS`` environment variable (a JSON object of
+suite through ``DLearnConfig(chaos=ChaosSpec(...))``, or operationally
+through the ``REPRO_CHAOS`` environment variable (a JSON object of
 :class:`ChaosSpec` fields, consulted at pool construction).  Production
 paths never pay more than one ``is None`` check per dispatch.
 
@@ -29,10 +28,10 @@ Fault mechanics (applied parent-side, to the shipped copy only):
   chunk.  Kill -9 semantics: no cleanup, no exception, a broken pool.
 * ``delay_at`` — a ``("delay", seconds)`` directive; the worker sleeps past
   its deadline, exercising the timeout-kill-recover path.
-* ``corrupt_wire_at`` — one shipped bundle of the chunk is replaced with a
-  structurally invalid marker, so the worker's decode raises loudly (a
-  ``desync`` fault).  The parent's retained wire is untouched — replay
-  re-ships the good copy.
+* ``corrupt_wire_at`` — the first shard wire the chunk re-ships is replaced
+  with a structurally invalid marker, so the worker's decode raises loudly
+  (a ``desync`` fault).  The parent's shard is untouched — recovery
+  re-seeds the worker from its current wire.
 * ``drop_delta_at`` — the chunk's interner flag delta is suppressed after
   the parent's watermark already advanced: the worker's view develops a
   gap and the next reference beyond it fails loudly (``desync``), which
@@ -52,9 +51,9 @@ __all__ = ["CHAOS_ENV", "ChaosInjector", "ChaosSpec", "chaos_from_env"]
 #: Environment gate: a JSON object of :class:`ChaosSpec` fields.
 CHAOS_ENV = "REPRO_CHAOS"
 
-#: The marker a corrupted bundle is replaced with: structurally invalid for
-#: every wire decoder (wrong tuple shape), so the worker fails loudly at
-#: registration instead of proving garbage.
+#: The marker a corrupted shard wire is replaced with: structurally invalid
+#: for the wire decoder (wrong tuple shape), so the worker fails loudly at
+#: registration instead of probing garbage.
 CORRUPT_WIRE = ("__chaos_corrupt_wire__",)
 
 
@@ -168,17 +167,6 @@ class ChaosInjector:
         if corrupt:
             self.events.append(("corrupt-wire", ordinal))
         return ChunkFaults(directive=directive, drop_delta=drop, corrupt_wire=corrupt)
-
-    def corrupt_bundles(self, shipped: list) -> list:
-        """Replace the first shipped ``(handle, wire)`` bundle with garbage.
-
-        Operates on the chunk's shipping list only; the parent's retained
-        wires stay intact, so the recovery replay ships the good copy.
-        """
-        if not shipped:
-            return shipped
-        handle, _ = shipped[0]
-        return [(handle, CORRUPT_WIRE)] + list(shipped[1:])
 
     @property
     def chunks_seen(self) -> int:

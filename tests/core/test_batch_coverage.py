@@ -90,10 +90,16 @@ class TestBatchedMatchesSerial:
             )
 
     def test_thread_fanout_matches_serial(self, dirty_movie_problem, fast_config):
-        parallel_engine = make_engine(dirty_movie_problem, fast_config.but(n_jobs=2))
-        for clause in candidate_clauses(parallel_engine):
-            serial = [parallel_engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
-            assert parallel_engine.batch_covers(clause, ALL_EXAMPLES) == serial
+        # Coverage runs on the calling thread; the dirty world adds CFD repair
+        # literals, so the MD-projection and CFD-variant branches run too.
+        dirty_engine = make_engine(dirty_movie_problem, fast_config)
+        positives, negatives = [POS_M1, POS_M2], [NEG_M3, NEG_M4]
+        for clause in candidate_clauses(dirty_engine):
+            serial = [dirty_engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
+            assert dirty_engine.batch_covers(clause, ALL_EXAMPLES) == serial
+            assert dirty_engine.covered_counts(clause, positives, negatives) == dirty_engine.covered_counts_serial(
+                clause, positives, negatives
+            )
 
     def test_batch_predicts_positive_matches_pointwise(self, engine):
         clauses = candidate_clauses(engine)[:2]
@@ -141,6 +147,10 @@ class TestConfig:
     def test_n_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             DLearnConfig(n_jobs=0)
+
+    def test_n_jobs_above_one_is_rejected(self):
+        with pytest.raises(ValueError, match="n_jobs"):
+            DLearnConfig(n_jobs=2)
 
     def test_n_jobs_default_is_serial(self, fast_config):
         assert fast_config.n_jobs == 1

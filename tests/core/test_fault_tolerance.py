@@ -1,19 +1,18 @@
 """Chaos suite: injected faults must recover to bit-identical results.
 
-The supervision layer's claim (ISSUE: supervised fault-tolerant fan-out) is
-that a worker killed -9 mid-dispatch, a chunk delayed past its deadline, a
-corrupted wire payload and a dropped interner delta are all *recoverable*:
-the worker respawns from pure wire state, replays its registration log, the
-lost chunk is re-dispatched, and verdicts / relevant tuples / learned
-definitions are exactly what a fault-free run produces.  Every test here
-drives a real process pool through :mod:`repro.testing.chaos` and compares
-against the serial oracle.
+The supervision layer's claim is that a shard worker killed -9
+mid-dispatch, a chunk delayed past its deadline, a corrupted wire payload
+and a dropped interner delta are all *recoverable*: the worker respawns
+from pure wire state, is re-seeded, the lost chunk is re-dispatched, and
+relevant tuples / learned definitions are exactly what a fault-free run
+produces.  Every test here drives a real process pool through
+:mod:`repro.testing.chaos` and compares against the serial oracle.
 
-The degradation ladder (``recover`` → ``degrade_thread`` →
-``degrade_serial`` → ``raise``) and the demotion-closes-the-pool leak fix
-are pinned at the coverage and saturation integration points; spawn
-start-method coverage keeps the recovery path honest under the pickle-everything
-regime CI's Linux ``fork`` default never exercises.
+The degradation ladder (``recover`` → ``degrade_serial`` → ``raise``) and
+the demotion-closes-the-pool leak fix are pinned at the saturation
+integration point; spawn start-method coverage keeps the recovery path
+honest under the pickle-everything regime CI's Linux ``fork`` default never
+exercises.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ import warnings
 
 import pytest
 
-from repro.core import DLearn, DLearnConfig, FrontierChase, LearningSession
-from repro.core.fanout import ProcessFanout, SaturationFanout, SerialShardScatter, checker_params
+from repro.core import DLearn, FrontierChase, LearningSession
+from repro.core.fanout import _START_METHOD_ENV, SaturationFanout, SerialShardScatter, _start_method
 from repro.core.problem import Example
 from repro.core.supervision import DeadlinePolicy, FanoutFault, FanoutFaultError, FaultPolicy
 from repro.db.sharding import RelationShard, ShardedInstance
-from repro.logic import ClauseCompiler, Constant, HornClause, Variable, relation_literal
-from repro.logic.subsumption import SubsumptionChecker
 from repro.testing.chaos import ChaosInjector, ChaosSpec
 
 ALL_EXAMPLES = [
@@ -44,117 +41,6 @@ _DEADLINES = DeadlinePolicy(dispatch_timeout=20.0, backoff=2.0, max_retries=2)
 _SHORT_DEADLINES = DeadlinePolicy(dispatch_timeout=1.0, backoff=3.0, max_retries=2)
 
 
-def _coverage_run(problem, config) -> tuple[list[tuple[bool, ...]], "LearningSession"]:
-    """Candidate-clause verdict tuples over every example, plus the session."""
-    session = LearningSession(problem, config)
-    examples = problem.examples.all()
-    candidates = [
-        session.builder.build(seed, ground=False)
-        .prune_disconnected()
-        .prune_dangling_restrictions()
-        for seed in list(problem.examples.positives)[:2]
-    ]
-    verdicts = [tuple(session.engine.batch_covers(clause, examples)) for clause in candidates]
-    return verdicts, session
-
-
-def _serial_oracle(problem, config) -> list[tuple[bool, ...]]:
-    verdicts, session = _coverage_run(
-        problem, config.but(parallel_backend="serial", n_jobs=1, chaos=None)
-    )
-    session.preparation.close()
-    return verdicts
-
-
-# --------------------------------------------------------------------- #
-# coverage plane: every fault kind recovers to identical verdicts
-# --------------------------------------------------------------------- #
-class TestCoverageRecoveryIdentity:
-    @pytest.fixture
-    def process_config(self, fast_config) -> DLearnConfig:
-        return fast_config.but(
-            parallel_backend="process", n_jobs=2, deadline_policy=_DEADLINES
-        )
-
-    def test_killed_worker_recovers_bit_identically(self, movie_problem, process_config):
-        oracle = _serial_oracle(movie_problem, process_config)
-        config = process_config.but(chaos=ChaosSpec(kill_at=(0,)))
-        with pytest.warns(FanoutFault) as captured:
-            verdicts, session = _coverage_run(movie_problem, config)
-        try:
-            assert verdicts == oracle
-            stats = session.fault_stats()["coverage"]
-            assert stats is not None
-            assert stats["faults"]["crash"] == 1
-            assert stats["recoveries"] == 1 and stats["retries"] == 1
-            assert stats["demotions"] == 0  # recovered, not demoted
-            assert session.engine._fanout is not None  # still on the process plane
-            kinds = {w.message.kind for w in captured.list if isinstance(w.message, FanoutFault)}
-            assert "crash" in kinds
-        finally:
-            session.preparation.close()
-
-    def test_delayed_chunk_past_deadline_recovers_bit_identically(
-        self, movie_problem, process_config
-    ):
-        oracle = _serial_oracle(movie_problem, process_config)
-        config = process_config.but(
-            deadline_policy=_SHORT_DEADLINES,
-            chaos=ChaosSpec(delay_at=(0,), delay_seconds=6.0),
-        )
-        with pytest.warns(FanoutFault):
-            verdicts, session = _coverage_run(movie_problem, config)
-        try:
-            assert verdicts == oracle
-            stats = session.fault_stats()["coverage"]
-            assert stats["faults"]["timeout"] >= 1
-            assert stats["recoveries"] >= 1
-            assert session.engine._fanout is not None
-        finally:
-            session.preparation.close()
-
-    def test_corrupt_wire_is_a_recoverable_desync(self, movie_problem, process_config):
-        oracle = _serial_oracle(movie_problem, process_config)
-        config = process_config.but(chaos=ChaosSpec(corrupt_wire_at=(0,)))
-        with pytest.warns(FanoutFault):
-            verdicts, session = _coverage_run(movie_problem, config)
-        try:
-            assert verdicts == oracle
-            stats = session.fault_stats()["coverage"]
-            assert stats["faults"]["desync"] >= 1
-            assert stats["recoveries"] >= 1
-        finally:
-            session.preparation.close()
-
-    def test_dropped_interner_delta_is_a_recoverable_desync(
-        self, movie_problem, process_config
-    ):
-        # The candidate clauses intern fresh terms after the pool is seeded,
-        # so the first dispatch genuinely carries a delta to drop.
-        oracle = _serial_oracle(movie_problem, process_config)
-        config = process_config.but(chaos=ChaosSpec(drop_delta_at=(0,)))
-        with pytest.warns(FanoutFault):
-            verdicts, session = _coverage_run(movie_problem, config)
-        try:
-            assert verdicts == oracle
-            stats = session.fault_stats()["coverage"]
-            assert stats["faults"]["desync"] >= 1
-            assert stats["recoveries"] >= 1
-        finally:
-            session.preparation.close()
-
-    def test_routing_survives_recovery(self, movie_problem, process_config):
-        config = process_config.but(chaos=ChaosSpec(kill_at=(0,)))
-        with pytest.warns(FanoutFault):
-            _, session = _coverage_run(movie_problem, config)
-        try:
-            fanout = session.engine._fanout
-            assert fanout is not None
-            assert sorted(fanout._route) == [0, 1, 2, 3]  # pinning untouched
-        finally:
-            session.preparation.close()
-
-
 # --------------------------------------------------------------------- #
 # acceptance: kill -9 and a deadline miss mid-fit, on the process plane
 # --------------------------------------------------------------------- #
@@ -162,10 +48,10 @@ class TestFitUnderChaos:
     def test_fit_with_kill_and_delay_completes_on_the_process_plane(
         self, movie_problem, fast_config
     ):
-        serial_model = DLearn(fast_config.but(parallel_backend="serial")).fit(movie_problem)
+        serial_model = DLearn(fast_config).fit(movie_problem)
         config = fast_config.but(
+            shard_count=2,
             parallel_backend="process",
-            n_jobs=2,
             deadline_policy=_SHORT_DEADLINES,
             chaos=ChaosSpec(kill_at=(1,), delay_at=(3,), delay_seconds=6.0),
         )
@@ -174,120 +60,14 @@ class TestFitUnderChaos:
             model = DLearn(config).fit(movie_problem, session=session)
         try:
             assert model.clauses == serial_model.clauses  # bit-identical learning
-            stats = session.fault_stats()["coverage"]
+            stats = session.fault_stats()["saturation"]
             assert stats is not None
             assert stats["faults"]["crash"] >= 1
             assert stats["faults"]["timeout"] >= 1
             assert stats["recoveries"] >= 2
             assert stats["demotions"] == 0
-            assert session.engine._fanout is not None  # never left the process plane
-        finally:
-            session.preparation.close()
-
-
-# --------------------------------------------------------------------- #
-# the degradation ladder at the coverage integration point
-# --------------------------------------------------------------------- #
-class TestCoverageLadder:
-    def _faulting_config(self, fast_config, **policy) -> DLearnConfig:
-        return fast_config.but(
-            parallel_backend="process",
-            n_jobs=2,
-            deadline_policy=_DEADLINES,
-            chaos=ChaosSpec(kill_at=(0,)),
-            fault_policy=FaultPolicy(**policy),
-        )
-
-    def test_raise_mode_propagates_the_terminal_fault(self, movie_problem, fast_config):
-        config = self._faulting_config(fast_config, mode="raise")
-        session = LearningSession(movie_problem, config)
-        try:
-            clause = session.builder.build(
-                list(movie_problem.examples.positives)[0], ground=False
-            )
-            with pytest.raises(FanoutFaultError) as excinfo:
-                session.engine.batch_covers(clause, movie_problem.examples.all())
-            assert excinfo.value.kind == "crash"
-            assert excinfo.value.pool == "coverage"
-        finally:
-            session.preparation.close()
-
-    @pytest.mark.parametrize("mode", ["degrade_thread", "degrade_serial"])
-    def test_degrade_modes_demote_with_a_structured_warning(
-        self, movie_problem, fast_config, mode
-    ):
-        oracle = _serial_oracle(movie_problem, fast_config)
-        config = self._faulting_config(fast_config, mode=mode)
-        session = LearningSession(movie_problem, config)
-        try:
-            fanout = session.engine._fanout
-            assert fanout is not None
-            with pytest.warns(FanoutFault, match="falling back") as captured:
-                verdicts, = [
-                    [
-                        tuple(session.engine.batch_covers(clause, movie_problem.examples.all()))
-                        for clause in [
-                            session.builder.build(seed, ground=False)
-                            .prune_disconnected()
-                            .prune_dangling_restrictions()
-                            for seed in list(movie_problem.examples.positives)[:2]
-                        ]
-                    ]
-                ]
-            assert verdicts == oracle
-            # The leak fix: the demoted pool — attached, with a healthy
-            # sibling worker — is closed, not abandoned.
-            assert fanout._closed
-            assert session.engine._fanout is None
-            rung = "serial backend" if mode == "degrade_serial" else "thread backend"
-            demotions = [
-                w.message for w in captured.list
-                if isinstance(w.message, FanoutFault) and "demoted" in str(w.message)
-            ]
-            assert demotions and rung in str(demotions[0])
-            assert demotions[0].kind == "crash"
-            assert session.fault_stats()["coverage"]["demotions"] == 1
-        finally:
-            session.preparation.close()
-
-    def test_exhausted_recovery_budget_demotes(self, movie_problem, fast_config):
-        oracle = _serial_oracle(movie_problem, fast_config)
-        config = fast_config.but(
-            parallel_backend="process",
-            n_jobs=2,
-            deadline_policy=_DEADLINES,
-            chaos=ChaosSpec(kill_at=(0,)),
-            fault_policy=FaultPolicy(mode="recover", max_recoveries=0),
-        )
-        with pytest.warns(FanoutFault, match="falling back"):
-            verdicts, session = _coverage_run(movie_problem, config)
-        try:
-            assert verdicts == oracle
-            stats = session.fault_stats()["coverage"]
-            assert stats["recoveries"] == 0 and stats["demotions"] == 1
-        finally:
-            session.preparation.close()
-
-    def test_preparation_rebuilds_a_demoted_pool_on_demand(self, movie_problem, fast_config):
-        config = self._faulting_config(fast_config, mode="degrade_thread")
-        session = LearningSession(movie_problem, config)
-        try:
-            broken = session.engine._fanout
-            clause = session.builder.build(
-                list(movie_problem.examples.positives)[0], ground=False
-            )
-            with pytest.warns(FanoutFault):
-                session.engine.batch_covers(clause, movie_problem.examples.all())
-            assert broken._closed
-            rebuilt = session.preparation.process_fanout(
-                session.engine.checker,
-                config.n_jobs,
-                fault_policy=config.fault_policy,
-                deadline_policy=config.deadline_policy,
-                chaos=config.chaos,
-            )
-            assert rebuilt is not broken and not rebuilt._closed
-            rebuilt.close()
+            # never left the process plane
+            assert isinstance(session.chase._shard_scatter, SaturationFanout)
         finally:
             session.preparation.close()
 
@@ -381,22 +161,29 @@ class TestSaturationRecoveryIdentity:
         finally:
             scatter.close()
 
-    def test_terminal_fault_demotes_to_the_unsharded_chase(self, movie_problem, fast_config):
-        chase = _make_chase(
-            movie_problem, fast_config.but(fault_policy=FaultPolicy(max_recoveries=0))
-        )
+    @pytest.mark.parametrize(
+        "policy",
+        [FaultPolicy(max_recoveries=0), FaultPolicy(mode="degrade_serial")],
+        ids=["exhausted-budget", "degrade_serial"],
+    )
+    def test_terminal_fault_demotes_to_the_unsharded_chase(
+        self, movie_problem, fast_config, policy
+    ):
+        chase = _make_chase(movie_problem, fast_config.but(fault_policy=policy))
         scatter = SaturationFanout(
             ShardedInstance(movie_problem.database, 2),
-            fault_policy=FaultPolicy(max_recoveries=0),
+            fault_policy=policy,
             deadline_policy=_DEADLINES,
             chaos=ChaosInjector(ChaosSpec(kill_at=(0,))),
         )
         chase.attach_shard_scatter(scatter)
         reference = _make_chase(movie_problem, fast_config)
-        with pytest.warns(FanoutFault, match="falling back"):
+        with pytest.warns(FanoutFault, match="falling back") as captured:
             results = chase.relevant_many(ALL_EXAMPLES)
         for relevant, example in zip(results, ALL_EXAMPLES):
             _assert_same_relevant(relevant, reference.relevant_serial(example))
+        demotions = [w.message for w in captured.list if "demoted" in str(w.message)]
+        assert demotions and demotions[0].kind == "crash"
         assert chase._shard_scatter is None  # detached...
         assert scatter._closed  # ...and closed, healthy shard worker included
         assert chase.fault_counters.demotions == 1
@@ -421,60 +208,12 @@ class TestSaturationRecoveryIdentity:
 # --------------------------------------------------------------------- #
 # spawn start method: recovery must survive the pickle-everything regime
 # --------------------------------------------------------------------- #
-X, Y = Variable("x"), Variable("y")
-
-
-class _Prepared:
-    def __init__(self, clause: HornClause):
-        self.clause = clause
-
-
 class TestSpawnStartMethod:
-    def test_coverage_recovery_after_respawn_under_spawn(self):
-        from repro.logic.compiled import general_to_wire, specific_to_wire
-
-        compiler = ClauseCompiler()
-        checker = SubsumptionChecker(compiler=compiler)
-
-        def build_general(prepared):
-            return (general_to_wire(compiler.compile_general(prepared.clause)), None, None, False)
-
-        def build_ground(prepared):
-            return (
-                specific_to_wire(compiler.compile_specific(checker.prepare(prepared.clause))),
-                None,
-                None,
-                False,
-            )
-
-        general = HornClause(relation_literal("h", X), (relation_literal("r", X, Y),))
-        a, b = Constant("a"), Constant("b")
-        ground = HornClause(relation_literal("h", a), (relation_literal("r", a, b),))
-        fanout = ProcessFanout(
-            compiler.terms,
-            checker_params(checker),
-            n_jobs=1,
-            start_method="spawn",
-            deadline_policy=_DEADLINES,
-            chaos=ChaosInjector(ChaosSpec(kill_at=(0,))),
-        )
-        try:
-            with pytest.warns(FanoutFault):
-                verdicts = fanout.dispatch(
-                    [(_Prepared(general), _Prepared(ground), True)], build_general, build_ground
-                )
-            assert verdicts == [True]
-            assert fanout.supervisor.counters.recoveries == 1
-            # The respawned worker holds the replayed registrations: a second
-            # dispatch over the same handles ships nothing new and agrees.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                again = fanout.dispatch(
-                    [(_Prepared(general), _Prepared(ground), True)], build_general, build_ground
-                )
-            assert again == [True]
-        finally:
-            fanout.close()
+    def test_process_pool_start_method_override_is_honoured(self, monkeypatch):
+        monkeypatch.delenv(_START_METHOD_ENV, raising=False)
+        assert _start_method() in ("fork", "spawn")
+        monkeypatch.setenv(_START_METHOD_ENV, "spawn")
+        assert _start_method() == "spawn"
 
     def test_saturation_recovery_after_respawn_under_spawn(self, movie_problem):
         sharded = ShardedInstance(movie_problem.database, 2)
@@ -501,15 +240,6 @@ class TestSpawnStartMethod:
 # lifecycle edges
 # --------------------------------------------------------------------- #
 class TestLifecycle:
-    def test_process_fanout_close_is_idempotent_and_dispatch_after_close_raises(self):
-        compiler = ClauseCompiler()
-        checker = SubsumptionChecker(compiler=compiler)
-        fanout = ProcessFanout(compiler.terms, checker_params(checker), n_jobs=1)
-        fanout.close()
-        fanout.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            fanout.dispatch([], lambda p: None, lambda p: None)
-
     def test_saturation_fanout_close_is_idempotent_and_depth_after_close_raises(
         self, movie_problem
     ):
@@ -522,7 +252,7 @@ class TestLifecycle:
     def test_fault_stats_are_none_without_supervised_pools(self, movie_problem, fast_config):
         session = LearningSession(movie_problem, fast_config)
         try:
-            assert session.fault_stats() == {"coverage": None, "saturation": None}
+            assert session.fault_stats() == {"saturation": None}
         finally:
             session.preparation.close()
 

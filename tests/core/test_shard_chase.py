@@ -113,6 +113,21 @@ class TestProcessScatterIdentity:
             scatter.close()
 
 
+class TestBackendConfig:
+    def test_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="parallel_backend"):
+            DLearnConfig(parallel_backend="gevent")
+
+    def test_rejects_the_retired_thread_backend(self):
+        with pytest.raises(ValueError, match="parallel_backend"):
+            DLearnConfig(parallel_backend="thread")
+        assert DLearnConfig().parallel_backend == "serial"
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_accepts_the_two_backends(self, backend):
+        assert DLearnConfig(parallel_backend=backend).parallel_backend == backend
+
+
 class TestSessionWiring:
     def test_serial_backend_gets_in_process_scatter(self, movie_problem, fast_config):
         session = LearningSession(movie_problem, fast_config.but(shard_count=2))
@@ -134,8 +149,6 @@ class TestSessionWiring:
         scatter = preparation.shard_scatter(2, "serial")
         assert preparation.shard_scatter(2, "serial") is scatter
         assert preparation.shard_scatter(3, "serial") is not scatter
-        # thread backend shares the in-process plane
-        assert preparation.shard_scatter(2, "thread") is scatter
         scatter.close()
         replacement = preparation.shard_scatter(2, "serial")
         assert replacement is not scatter

@@ -73,9 +73,9 @@ class TestDeadlinePolicy:
 class TestFaultPolicy:
     def test_default_mode_recovers(self):
         assert FaultPolicy().recovers
-        assert not FaultPolicy(mode="degrade_thread").recovers
+        assert not FaultPolicy(mode="degrade_serial").recovers
 
-    @pytest.mark.parametrize("mode", ["recover", "degrade_thread", "degrade_serial", "raise"])
+    @pytest.mark.parametrize("mode", ["recover", "degrade_serial", "raise"])
     def test_every_ladder_rung_is_accepted(self, mode):
         assert FaultPolicy(mode=mode).mode == mode
 
@@ -108,9 +108,9 @@ class TestClassification:
 
 class TestFanoutFault:
     def test_is_a_runtime_warning_with_taxonomy_fields(self):
-        fault = FanoutFault("worker died", kind="crash", pool="coverage", attempt=2)
+        fault = FanoutFault("worker died", kind="crash", pool="saturation", attempt=2)
         assert isinstance(fault, RuntimeWarning)
-        assert (fault.kind, fault.pool, fault.attempt) == ("crash", "coverage", 2)
+        assert (fault.kind, fault.pool, fault.attempt) == ("crash", "saturation", 2)
 
     def test_error_twin_carries_the_same_fields(self):
         error = FanoutFaultError("terminal", kind="timeout", pool="saturation", attempt=3)
@@ -165,7 +165,7 @@ def _jobs(n: int) -> list[WorkerJob]:
 class TestPoolSupervisor:
     def test_healthy_run_is_warning_free_and_ordered(self):
         pool = _FlakyPool()
-        supervisor = PoolSupervisor("coverage")
+        supervisor = PoolSupervisor("saturation")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = supervisor.run(_jobs(3), pool.submit, pool.recover)
@@ -175,7 +175,7 @@ class TestPoolSupervisor:
 
     def test_fault_recovers_resubmits_retry_payload_and_warns(self):
         pool = _FlakyPool(fail_first=1)
-        supervisor = PoolSupervisor("coverage")
+        supervisor = PoolSupervisor("saturation")
         with pytest.warns(FanoutFault) as captured:
             results = supervisor.run(_jobs(2), pool.submit, pool.recover)
         assert results[0] == ("ok", 0, ("retry", 0))  # clean payload, not the original
@@ -187,13 +187,13 @@ class TestPoolSupervisor:
         assert counters.recovery_seconds >= 0.0
         (record,) = [w for w in captured.list if issubclass(w.category, FanoutFault)]
         assert record.message.kind == "crash"
-        assert record.message.pool == "coverage"
+        assert record.message.pool == "saturation"
         assert record.message.attempt == 1
 
     def test_retry_budget_exhaustion_is_terminal(self):
         pool = _FlakyPool(fail_first=100)  # never succeeds
         supervisor = PoolSupervisor(
-            "coverage", deadline_policy=DeadlinePolicy(max_retries=2)
+            "saturation", deadline_policy=DeadlinePolicy(max_retries=2)
         )
         with pytest.warns(FanoutFault):
             with pytest.raises(FanoutFaultError) as excinfo:
@@ -205,7 +205,7 @@ class TestPoolSupervisor:
     def test_recovery_budget_exhaustion_is_terminal(self):
         pool = _FlakyPool(fail_first=100)
         supervisor = PoolSupervisor(
-            "coverage",
+            "saturation",
             fault_policy=FaultPolicy(max_recoveries=1),
             deadline_policy=DeadlinePolicy(max_retries=10),
         )
@@ -214,10 +214,10 @@ class TestPoolSupervisor:
                 supervisor.run(_jobs(1), pool.submit, pool.recover)
         assert supervisor.counters.recoveries == 1  # the budget, exactly
 
-    @pytest.mark.parametrize("mode", ["degrade_thread", "degrade_serial", "raise"])
+    @pytest.mark.parametrize("mode", ["degrade_serial", "raise"])
     def test_non_recovering_modes_escalate_on_first_fault(self, mode):
         pool = _FlakyPool(fail_first=1)
-        supervisor = PoolSupervisor("coverage", fault_policy=FaultPolicy(mode=mode))
+        supervisor = PoolSupervisor("saturation", fault_policy=FaultPolicy(mode=mode))
         with pytest.raises(FanoutFaultError) as excinfo:
             supervisor.run(_jobs(1), pool.submit, pool.recover)
         assert excinfo.value.attempt == 1
@@ -225,7 +225,7 @@ class TestPoolSupervisor:
 
     def test_failed_recovery_is_a_terminal_seed_failure(self):
         pool = _FlakyPool(fail_first=1, recover_raises=OSError("no more processes"))
-        supervisor = PoolSupervisor("coverage")
+        supervisor = PoolSupervisor("saturation")
         with pytest.warns(FanoutFault):
             with pytest.raises(FanoutFaultError) as excinfo:
                 supervisor.run(_jobs(1), pool.submit, pool.recover)
@@ -233,7 +233,7 @@ class TestPoolSupervisor:
         assert supervisor.counters.faults["seed-failure"] == 1
 
     def test_synchronous_submit_failure_folds_into_the_await_path(self):
-        supervisor = PoolSupervisor("coverage")
+        supervisor = PoolSupervisor("saturation")
         calls = []
 
         def submit(worker, payload):
@@ -288,15 +288,6 @@ class TestChaosInjector:
         assert not fourth.any
         assert injector.events == [("kill", 1), ("delay", 2)]
         assert injector.chunks_seen == 4
-
-    def test_corrupt_bundles_spares_the_retained_copy(self):
-        injector = ChaosInjector(ChaosSpec(corrupt_wire_at=(0,)))
-        shipped = [(5, ("good", "wire")), (6, ("other", "wire"))]
-        corrupted = injector.corrupt_bundles(shipped)
-        assert corrupted[0][0] == 5 and corrupted[0][1] != ("good", "wire")
-        assert corrupted[1] == (6, ("other", "wire"))
-        assert shipped[0] == (5, ("good", "wire"))  # caller's list untouched
-        assert injector.corrupt_bundles([]) == []
 
 
 class TestChaosEnvGate:

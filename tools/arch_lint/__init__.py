@@ -1,8 +1,9 @@
 """Architectural lint engine: the repo's invariants as executable AST rules.
 
 PRs 4-5 moved the system onto a dense-integer plane (value ids in the
-storage core, term ids in the compiled subsumption engine) and onto shared
-sessions with ``n_jobs`` thread fan-out.  The bug classes that now threaten
+storage core, term ids in the compiled subsumption engine) and onto
+sessions that share state across folds and predictions.  The bug classes
+that now threaten
 correctness are exactly the ones a test suite cannot exhaustively catch:
 
 * **id/value mixing** — passing a decoded value where a dense id is
@@ -10,8 +11,8 @@ correctness are exactly the ones a test suite cannot exhaustively catch:
 * **nondeterministic iteration** — set iteration order feeding an
   ordering-sensitive structure makes learned definitions run-dependent;
 * **unsynchronized shared-state writes** — session objects are shared
-  across worker threads, so post-``__init__`` writes outside a lock are
-  data races waiting for free-threaded Python;
+  across sessions, so post-``__init__`` writes outside a lock are data
+  races as soon as two threads drive them;
 * **cache hygiene** — mutable default arguments and identity-keyed or
   unhashable cache keys corrupt the memoisation layers.
 

@@ -79,9 +79,9 @@ _SET_RETURNING = (
     "repair_literals_connected_to",
 )
 
-#: Session-scoped classes shared across ``n_jobs`` worker threads (or across
-#: folds/prediction sessions): attribute/container writes outside
-#: ``__init__`` must be lock-guarded or explicitly allowlisted.
+#: Session-scoped classes shared across folds and prediction sessions (and
+#: so across any threads that drive them): attribute/container writes
+#: outside ``__init__`` must be lock-guarded or explicitly allowlisted.
 _SHARED_CLASSES = (
     "CoverageEngine",
     "LearningSession",

@@ -1,7 +1,7 @@
 """Process-pool safety: what crosses a process boundary must pickle.
 
-:mod:`repro.core.fanout` ships coverage work to ``ProcessPoolExecutor``
-workers.  Everything submitted to such a pool — the callable, its arguments,
+:mod:`repro.core.fanout` ships chase depths to ``ProcessPoolExecutor``
+shard workers.  Everything submitted to such a pool — the callable, its arguments,
 the ``initializer``/``initargs`` pair — is pickled; a lambda, a function
 defined inside another function, a ``threading.Lock`` or an open file handle
 in that payload raises ``PicklingError`` at dispatch time (or, worse, only
@@ -21,8 +21,8 @@ variables traceably bound to one; ``submit``/``map`` through either):
   contains ``"lock"``), an inline ``open(...)`` / ``Lock()``-family call, a
   name bound to one, or a lambda.
 
-Thread pools are exempt: nothing is pickled there, and closures over engine
-state are the thread backend's sanctioned idiom.  The receiver analysis is
+Thread pools are exempt: nothing is pickled there, so closures over engine
+state are fine.  The receiver analysis is
 deliberately local — only executors *visibly* constructed from a configured
 factory in the same module are treated as process pools, so the rule never
 guesses about objects that merely look pool-shaped.

@@ -15,7 +15,7 @@ exit from this tool as well.
 Usage:
 
     PYTHONPATH=src python tools/record_bench.py                 # run + record all
-    PYTHONPATH=src python tools/record_bench.py parallel        # one benchmark
+    PYTHONPATH=src python tools/record_bench.py shard           # one benchmark
     PYTHONPATH=src python tools/record_bench.py --compare-only  # diff without running
 """
 
@@ -36,15 +36,13 @@ BENCHMARKS: dict[str, str] = {
     "saturation": "benchmarks/bench_saturation_batch.py",
     "storage": "benchmarks/bench_storage_intern.py",
     "subsumption": "benchmarks/bench_subsumption_compiled.py",
-    "parallel": "benchmarks/bench_parallel_fanout.py",
     "shard": "benchmarks/bench_shard_scale.py",
-    "faults": "benchmarks/bench_fault_tolerance.py",
 }
 
 #: Benchmarks whose headline numbers are parallel speed-ups: their records
 #: carry an explicit core count and a loud annotation when measured on a
 #: host that cannot demonstrate parallelism.
-PARALLEL_BENCHMARKS = ("parallel", "shard")
+PARALLEL_BENCHMARKS = ("shard",)
 
 
 def _host_metadata() -> dict:
