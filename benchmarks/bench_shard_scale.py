@@ -27,10 +27,11 @@ rung measures two things:
 Every rung asserts the planes are **observationally identical** — equal
 gathered depth tables and equal relevant sets (relations, values, similarity
 evidence) against the unsharded chase — and the first rung additionally pins
-the uncached ``relevant_serial`` oracle; the run fails otherwise.  Rungs above
-480 entities run ``exact_match_only`` (the quadratic similarity-index build
-would dwarf the run without touching the scatter plane); the small rungs keep
-MDs so equality probes cross the scatter too.
+the uncached :func:`repro.testing.oracles.relevant_serial` oracle; the run
+fails otherwise.  Rungs above 480 entities run ``exact_match_only`` (the
+quadratic similarity-index build would dwarf the run without touching the
+scatter plane); the small rungs keep MDs so equality probes cross the
+scatter too.
 
 The floor gates the 2-shard per-depth speedup on the largest rung; on hosts
 with fewer than two effective cores it is reported but *not* enforced (one
@@ -63,6 +64,7 @@ from repro.core.fanout import SaturationFanout, SerialShardScatter, _start_metho
 from repro.data.registry import generate
 from repro.data.synthetic import ScenarioSpec
 from repro.db.sharding import ShardedInstance
+from repro.testing.oracles import relevant_serial
 
 #: The shard count the ``--min-shard-speedup`` gate reads, on the largest rung.
 GATE_SHARDS = 2
@@ -239,7 +241,7 @@ class _Rung:
             # The uncached per-example oracle pins the whole stack once per
             # run; on the bigger rungs the batched identity check suffices.
             oracle = _normalise(
-                [self._chase().relevant_serial(example) for example in self.examples]
+                [relevant_serial(self._chase(), example) for example in self.examples]
             )
             cell["identical_unsharded_oracle"] = oracle == baseline_record
 

@@ -74,18 +74,6 @@ class DLearnConfig:
         training positives; removing them yields the concise definitions the
         paper reports and improves recall on held-out examples.  The
         ablation benchmark switches this off to measure its effect.
-    compiled_subsumption:
-        Run θ-subsumption checks on the compiled integer plane
-        (:mod:`repro.logic.compiled`) — clauses are interned to flat int
-        tuples once and the NP-hard matching loop runs on arrays with O(1)
-        trail backtracking.  Off, every check runs the pure-Python reference
-        checker.  As long as no check exhausts the step budget, verdicts,
-        retained-literal lists and learned definitions are identical either
-        way (``bench_subsumption_compiled.py`` and the property suites
-        assert this) and only the cost profile differs; the exhaustion
-        point of a budget-bound check is engine-relative, so workloads that
-        hit the valve may drop different literals under the two engines
-        (both conservatively).
     n_jobs:
         Must be 1: every coverage check runs on the calling thread.  The
         field remains only because a benchmark workload passes ``n_jobs=1``.
@@ -108,9 +96,7 @@ class DLearnConfig:
         probes the same shards in-process
         (:class:`repro.core.fanout.SerialShardScatter` — the identity
         oracle).  Results are bit-identical to the unsharded chase either
-        way; only the cost profile differs.  Requires interned storage;
-        sessions over identity-interner instances warn and fall back to
-        the unsharded chase.
+        way; only the cost profile differs.
     fault_policy:
         Degradation ladder of the supervised shard worker pool
         (:mod:`repro.core.supervision`): ``"recover"`` (the default)
@@ -170,7 +156,6 @@ class DLearnConfig:
     max_cfd_expansions: int = 64
     max_repair_groups_per_clause: int = 200
     reduce_clauses: bool = True
-    compiled_subsumption: bool = True
     n_jobs: int = 1  # Always 1: passed only by perfbench/workloads.py, as ``n_jobs=1``.
     parallel_backend: str = "serial"
     shard_count: int = 1

@@ -35,8 +35,9 @@ against every example.  The engine therefore caches *both* sides:
 
 :meth:`CoverageEngine.batch_covers` evaluates one clause against many
 examples through those caches, proving every pair on the calling thread;
-:meth:`CoverageEngine.covers_serial` keeps the original one-call-at-a-time
-pipeline as an uncached reference implementation for tests and benchmarks.
+:func:`repro.testing.oracles.covers_serial` keeps the original
+one-call-at-a-time pipeline as the uncached reference the tests compare
+against.
 
 On top of the clause-level caches sits a session-level **verdict cache**:
 the final coverage verdict of every (candidate clause, ground bottom clause,
@@ -134,18 +135,16 @@ class CoverageEngine:
         self.builder = builder
         self.config = config
         checker = checker or SubsumptionChecker()
-        use_compiled = checker.use_compiled and config.compiled_subsumption
-        if use_compiled != checker.use_compiled or checker.compiler is None:
+        if checker.compiler is None:
             # Clone instead of mutating the caller's instance: a checker
             # passed in may be shared outside this engine, and installing a
-            # compiler (or flipping the engine mode) on it would silently
-            # couple or reconfigure those other users.
-            checker = SubsumptionChecker(
+            # compiler on it would silently couple those other users.  The
+            # clone keeps the checker's class (a test oracle stays one).
+            checker = type(checker)(
                 respect_repair_connectivity=checker.respect_repair_connectivity,
                 condition_subset=checker.condition_subset,
                 max_steps=checker.max_steps,
-                use_compiled=use_compiled,
-                compiler=checker.compiler or ClauseCompiler(),
+                compiler=ClauseCompiler(),
             )
         self.checker = checker
         #: Session-level clause compiler: compiled clause forms attached to
@@ -244,14 +243,6 @@ class CoverageEngine:
             self.builder.chase.invalidate()
             self._database_stamp = stamp
 
-    def reset_verdicts(self) -> None:
-        """Drop only the verdict cache, keeping prepared and compiled clause forms.
-
-        Used by benchmarks to measure the steady-state cost of proving fresh
-        (clause, example) pairs — compilation amortised, verdicts cold.
-        """
-        self._verdict_cache.clear()
-
     def clear_cache(self) -> None:
         self._ground_cache.clear()
         self._verdict_cache.clear()
@@ -335,45 +326,6 @@ class CoverageEngine:
             any(self._covers_ground(clause, ground, positive=True) for clause in prepared_clauses)
             for ground in self.prepared_grounds(list(examples))
         ]
-
-    # ------------------------------------------------------------------ #
-    # serial reference path (pre-batching behaviour)
-    # ------------------------------------------------------------------ #
-    def covers_serial(self, clause: HornClause, example: Example) -> bool:
-        """Reference implementation of :meth:`covers` without clause-level caching.
-
-        Re-derives the general side's split, MD projection and CFD variants on
-        every call (ground bottom clauses are still cached per example, as
-        they always were).  Kept as the ground truth the batched path is
-        validated against in tests and measured against in
-        ``benchmarks/bench_coverage_batch.py``.
-        """
-        checker = self.checker
-        ground = self.prepared_ground(example)
-        if checker.subsumes(clause, ground).subsumes:
-            return True
-        ground_clause = ground.clause
-        clause_has_cfd = _has_cfd_repairs(clause)
-        ground_has_cfd = _has_cfd_repairs(ground_clause)
-        if not clause_has_cfd and not ground_has_cfd:
-            return False
-        if example.positive:
-            if not checker.subsumes(_md_projection(clause), _md_projection(ground_clause)).subsumes:
-                return False
-        clause_variants = _cfd_variants(clause, self.config.max_cfd_expansions)
-        ground_variants = _cfd_variants(ground_clause, self.config.max_cfd_expansions)
-        quantifier = all if example.positive else any
-        return quantifier(
-            any(checker.subsumes(cv, gv).subsumes for gv in ground_variants) for cv in clause_variants
-        )
-
-    def covered_counts_serial(
-        self, clause: HornClause, positives: Sequence[Example], negatives: Sequence[Example]
-    ) -> tuple[int, int]:
-        """Serial counterpart of :meth:`covered_counts` (see :meth:`covers_serial`)."""
-        positives_covered = sum(1 for example in positives if self.covers_serial(clause, example))
-        negatives_covered = sum(1 for example in negatives if self.covers_serial(clause, example))
-        return positives_covered, negatives_covered
 
     # ------------------------------------------------------------------ #
     # helpers

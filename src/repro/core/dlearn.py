@@ -100,7 +100,7 @@ class LearnedModel:
 
         The pre-session prediction path, kept as the reference the reused
         session is validated against: its verdicts must be identical to the
-        session path's (tests and ``bench_saturation_batch.py`` assert this).
+        session path's (the tests and perfbench assert this).
         """
         evaluation_problem = self.problem.with_examples(
             ExampleSet(

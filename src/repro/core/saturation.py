@@ -38,14 +38,14 @@ end-to-end:
   cover its own example (Proposition 4.3) under the subsumption-based
   coverage test.
 
-Per-example results are identical on every path (batched, per-example
-reference :meth:`FrontierChase.relevant_serial`, interned or identity
-storage): each example's chase state is advanced by exactly the same code,
-probe answers are storage-mode independent, and the one order-sensitive
-iteration — the per-depth similarity search over several known constants —
-visits constants in decoded-value order, which is storage-mode independent
-too.  The per-example sampling RNG is still seeded from the example's values
-alone, so batch composition cannot change what any example gathers.
+Per-example results are identical on every path (batched, sharded, or the
+uncached per-example reference :func:`repro.testing.oracles.relevant_serial`):
+each example's chase state is advanced by exactly the same code, and the one
+order-sensitive iteration — the per-depth similarity search over several
+known constants — visits constants in decoded-value order, which does not
+depend on id assignment.  The per-example sampling RNG is seeded from the
+example's values alone, so batch composition cannot change what any example
+gathers.
 """
 
 from __future__ import annotations
@@ -152,14 +152,12 @@ class DatabaseProbeCache:
         self.database = database
         #: value id → number of tuples containing it anywhere (chaseability).
         self._frequency: dict[object, int] = {}
-        # The interned core freezes probe results inside the relation indexes
-        # themselves, so no second cache layer is kept on top.  Two storages
-        # do not have that index-level caching and are memoised here instead:
-        # the seed string path (PairValueIndex rebuilds a row set per probe —
-        # this memo is exactly the seed's probe cache) and copy-on-write
-        # overlays (every probe patches the base result with an O(delta)
-        # scan, and the baselines chase over overlays directly).
-        self._memoise = not database.interned or isinstance(database, OverlayInstance)
+        # Plain instances freeze probe results inside the relation indexes
+        # themselves, so no second cache layer is kept on top.  Copy-on-write
+        # overlays do not have that index-level caching (every probe patches
+        # the base result with an O(delta) scan, and the baselines chase over
+        # overlays directly), so their probes are memoised here.
+        self._memoise = isinstance(database, OverlayInstance)
         self._any_rows: dict[tuple[str, object], frozenset[int]] = {}
         self._equal: dict[tuple[str, str, object], tuple[int, ...]] = {}
 
@@ -205,8 +203,8 @@ class DatabaseProbeCache:
         The returned plain dict is the depth-local probe table the batched
         chase hands to every example: distributing rows per example becomes a
         direct dictionary lookup, and the underlying frozensets are the
-        index's own shared entries (memoised probe results on the seed
-        string path).
+        index's own shared entries (memoised probe results over an
+        overlay).
         """
         if not self._memoise:
             return {key: rows for key, rows in relation.rows_with_ids(keys).items() if rows}
@@ -224,33 +222,12 @@ class DatabaseProbeCache:
         return cached
 
     def prefetch_equal(self, relation: RelationInstance, attribute: str, keys: Iterable[object]) -> None:
-        """Warm the attribute-index entries (and the seed-path memo) for *keys*."""
+        """Warm the attribute-index entries (and the overlay memo) for *keys*."""
         if not self._memoise:
             relation.rows_equal_ids(attribute, keys)
             return
         for key in keys:
             self.rows_equal(relation, attribute, key)
-
-
-class _DirectProbes:
-    """Uncached probe answers — the reference per-example path.
-
-    Interface-compatible with :class:`DatabaseProbeCache`; every call goes
-    straight to the database indexes (no frequency memo, no depth tables),
-    matching the cost profile of the pre-batching builder.
-    """
-
-    def __init__(self, database: DatabaseInstance) -> None:
-        self.database = database
-
-    def value_frequency(self, key: object) -> int:
-        return self.database.id_frequency(key)
-
-    def rows_any(self, relation: RelationInstance, key: object) -> frozenset[int]:
-        return relation.rows_with_id(key)
-
-    def rows_equal(self, relation: RelationInstance, attribute: str, key: object) -> tuple[int, ...]:
-        return relation.rows_equal_id(attribute, key)
 
 
 class _ChaseState:
@@ -322,10 +299,6 @@ class FrontierChase:
         probe results.
     cache:
         Shared :class:`SaturationCache` of finished results.
-    batched:
-        With ``False`` the chase answers every request through the uncached
-        per-example reference path — the pre-batching behaviour, kept for the
-        saturation benchmark and equivalence tests.
     """
 
     def __init__(
@@ -336,14 +309,12 @@ class FrontierChase:
         *,
         probes: DatabaseProbeCache | None = None,
         cache: SaturationCache | None = None,
-        batched: bool = True,
     ) -> None:
         self.problem = problem
         self.config = config
         self.similarity_indexes = similarity_indexes or {}
         self.probes = probes or DatabaseProbeCache(problem.database)
         self.cache = cache or SaturationCache()
-        self.batched = batched
         self._interner = problem.database.interner
         #: (md name, value id) → decoded top-k partner values.
         self._partner_cache: dict[tuple[str, object], tuple[object, ...]] = {}
@@ -386,33 +357,13 @@ class FrontierChase:
             if key not in self.cache and key not in pending:
                 pending[key] = example
         if pending:
-            if self.batched:
-                self._chase_batch(list(pending.items()))
-            else:
-                for key, example in pending.items():
-                    self.cache.store(key, self.relevant_serial(example))
+            self._chase_batch(list(pending.items()))
         results = []
         for key in keys:
             cached = self.cache.get(key)
             assert cached is not None
             results.append(cached)
         return results
-
-    def relevant_serial(self, example: Example) -> RelevantTuples:
-        """Reference per-example chase without any shared caching.
-
-        Probes go straight to the database indexes and nothing is memoised —
-        the cost profile of the pre-batching builder, kept as the baseline
-        that ``benchmarks/bench_saturation_batch.py`` measures against and
-        that equivalence tests compare with.
-        """
-        probes = _DirectProbes(self.problem.database)
-        state = self._new_state(example, probes, memo=None)
-        for _ in range(self.config.iterations):
-            if not state.frontier:
-                break
-            self._advance(state, probes, tables=None, memo=None)
-        return state.result
 
     def chaseable(self, value: object) -> bool:
         """Should *value* drive lookups and joins?  (See :meth:`_chaseable`.)
@@ -421,7 +372,7 @@ class FrontierChase:
         chase itself runs the id-level test.
         """
         key = self.problem.database.id_of(value)
-        if key == MISSING_ID and self._interner.interned:
+        if key == MISSING_ID:
             # Never stored anywhere: frequency 0, so only the type test applies.
             return isinstance(value, str)
         return self._chaseable(key, self.probes, self._chaseable_memo)
@@ -432,19 +383,13 @@ class FrontierChase:
         *scatter* is a :class:`repro.core.fanout.SaturationFanout` (the
         process plane: shard workers answer the frontier probes GIL-free) or
         a :class:`repro.core.fanout.SerialShardScatter` (the in-process
-        identity backend over the same shards).  Only the batched chase
-        consults it — ``relevant_serial`` stays the unsharded reference
-        oracle — and the gathered tables are, by the sharding layer's
-        merge guarantees, equal to the unsharded prefetch's, so results do
-        not depend on the attachment.  Pass ``None`` to detach.  A scatter
-        whose worker pool breaks detaches itself with a ``RuntimeWarning``
-        and the chase falls back to the unsharded path mid-batch.
+        identity backend over the same shards).  The gathered tables are, by
+        the sharding layer's merge guarantees, equal to the unsharded
+        prefetch's, so results do not depend on the attachment.  Pass
+        ``None`` to detach.  A scatter whose worker pool breaks detaches
+        itself with a ``RuntimeWarning`` and the chase falls back to the
+        unsharded path mid-batch.
         """
-        if scatter is not None and not self.batched:
-            raise ValueError(
-                "the shard scatter serves the batched chase; a serial_saturation "
-                "session has no per-depth barrier to scatter"
-            )
         self._shard_scatter = scatter
         supervisor = getattr(scatter, "supervisor", None)
         if supervisor is not None:
@@ -645,9 +590,10 @@ class FrontierChase:
         """One depth of Algorithm 2 for one example, identical on every path.
 
         *tables* is the depth's prefetched per-relation probe table (batched
-        path) or ``None`` (reference path); *memo* the shared chaseability
-        memo or ``None``.  Neither changes what is gathered — only where the
-        answers come from.
+        path) or ``None`` (the uncached reference path of
+        :func:`repro.testing.oracles.relevant_serial`); *memo* the shared
+        chaseability memo or ``None``.  Neither changes what is gathered —
+        only where the answers come from.
         """
         interner = self._interner
         next_frontier: set = set()
@@ -728,11 +674,11 @@ class FrontierChase:
             if not search_keys:
                 continue
             index = self.similarity_indexes.get(md.name)
-            # Decoded-value order: deterministic and storage-mode independent
-            # (set iteration over ids and over strings would disagree).
+            # Decoded-value order: deterministic and independent of id
+            # assignment (set iteration order over ids is not).
             for known_key in sorted(search_keys, key=self._sort_key):
                 known_value = interner.value_of(known_key)
-                for partner in self._similarity_partners(index, md.name, known_key, known_value, probes):
+                for partner in self._similarity_partners(index, md.name, known_key, known_value):
                     if partner == known_value:
                         # Exact matches already surfaced through the value index.
                         continue
@@ -761,16 +707,12 @@ class FrontierChase:
         return cached
 
     def _similarity_partners(
-        self, index: SimilarityIndex | None, md_name: str, key: object, value: object, probes
+        self, index: SimilarityIndex | None, md_name: str, key: object, value: object
     ) -> tuple[object, ...]:
         if self.config.exact_match_only or index is None:
             # Castor-Exact: MD attributes may be joined, but only on equality;
             # the exact matches are already found through the value index.
             return ()
-        if isinstance(probes, _DirectProbes):
-            # The uncached reference path must not warm (or profit from) the
-            # shared partner cache.
-            return tuple(index.partners_of(value))
         return self._partners(index, md_name, key, value)
 
     def _partners(self, index: SimilarityIndex, md_name: str, key: object, value: object) -> tuple[object, ...]:

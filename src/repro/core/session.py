@@ -284,9 +284,7 @@ class DatabasePreparation:
         One sharded projection per shard count serves every session over the
         preparation — the shards are kept current against in-place mutations
         by the scatter planes' per-depth :meth:`~repro.db.sharding.ShardedInstance.sync`
-        (a cheap stamp comparison when nothing changed).  Raises
-        ``ValueError`` for identity-interner storage, which cannot be
-        sharded (rows route by value id).
+        (a cheap stamp comparison when nothing changed).
         """
         sharded = self._sharded.get(shard_count)
         if sharded is None:
@@ -386,11 +384,6 @@ class LearningSession:
         database instance; omitted, a private one is created.  Pass one
         preparation to many sessions (folds, prediction) to share similarity
         scoring and database probes.
-    serial_saturation:
-        Route relevant-tuple gathering through the uncached per-example
-        reference path instead of the batched chase.  Results are identical;
-        only the cost profile differs.  Used by equivalence tests and
-        ``benchmarks/bench_saturation_batch.py``.
     """
 
     def __init__(
@@ -399,7 +392,6 @@ class LearningSession:
         config: DLearnConfig,
         *,
         preparation: DatabasePreparation | None = None,
-        serial_saturation: bool = False,
     ) -> None:
         if preparation is not None and preparation.database is not problem.database:
             raise ValueError(
@@ -425,7 +417,6 @@ class LearningSession:
             self.similarity_indexes,
             probes=self.preparation.probes,
             cache=SaturationCache(),
-            batched=not serial_saturation,
         )
         self.assembler = ClauseAssembler(problem, config, self.chase)
         self.builder = BottomClauseBuilder(
@@ -436,11 +427,11 @@ class LearningSession:
             config,
             SubsumptionChecker(compiler=self.preparation.compiler),
         )
-        if config.shard_count > 1 and not serial_saturation:
+        if config.shard_count > 1:
             # Scatter each chase depth over row-wise shards: worker processes
             # under the process backend, the in-process shard plane otherwise.
-            # Structural refusals — identity-interner storage, no process
-            # spawning — fall back to the (always-correct) unsharded chase.
+            # Structural refusals — no process spawning — fall back to the
+            # (always-correct) unsharded chase.
             try:
                 self.chase.attach_shard_scatter(
                     self.preparation.shard_scatter(
@@ -458,7 +449,6 @@ class LearningSession:
                     stacklevel=2,
                 )
         self.generalizer = Generalizer(self.engine, config, Sampler(config.seed))
-        self._serial_saturation = serial_saturation
         self._evaluation_sessions: dict[frozenset, "LearningSession"] = {}
 
     # ------------------------------------------------------------------ #
@@ -475,7 +465,6 @@ class LearningSession:
             self.problem.with_examples(examples),
             self.config,
             preparation=self.preparation,
-            serial_saturation=self._serial_saturation,
         )
 
     def evaluation_session(self, examples: Sequence[Example]) -> "LearningSession":

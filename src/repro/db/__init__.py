@@ -9,7 +9,7 @@ conjunctive-query evaluation of repaired clauses, and seeded sampling.
 
 from .index import AttributeIndex, ValueIndex
 from .instance import DatabaseInstance
-from .interning import IdentityInterner, MISSING_ID, ValueInterner
+from .interning import MISSING_ID, ValueInterner
 from .overlay import OverlayInstance, OverlayRelation
 from .query import ClauseEvaluator
 from .relation import RelationInstance
@@ -25,7 +25,6 @@ __all__ = [
     "ClauseEvaluator",
     "DatabaseInstance",
     "DatabaseSchema",
-    "IdentityInterner",
     "MISSING_ID",
     "OverlayInstance",
     "OverlayRelation",

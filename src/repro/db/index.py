@@ -10,10 +10,9 @@ maintains
   any attribute), which answers "does this relation mention constant ``a``
   anywhere?" in O(1).
 
-Since the interned-columnar storage core both indexes key on **value ids**
-(dense integers from the instance's :class:`~repro.db.interning.ValueInterner`;
-raw values in identity-interner compatibility mode), so steady-state probing
-hashes machine integers instead of strings.  Both expose multi-value probes
+Both indexes key on **value ids** (dense integers from the instance's
+:class:`~repro.db.interning.ValueInterner`), so steady-state probing hashes
+machine integers instead of strings.  Both expose multi-value probes
 (``rows_for_many``) so the batched saturation engine can resolve the union of
 many examples' frontier values in one walk over the index instead of one
 probe per example.
@@ -32,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .interning import ValueId
 
-__all__ = ["AttributeIndex", "PairValueIndex", "ValueIndex"]
+__all__ = ["AttributeIndex", "ValueIndex"]
 
 _EMPTY_FROZENSET: frozenset[int] = frozenset()
 
@@ -196,64 +195,6 @@ class ValueIndex:
             key: list(entry) if type(entry) is list else entry
             for key, entry in self._entries.items()
         }
-        return clone
-
-    def __contains__(self, key: ValueId) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class PairValueIndex:
-    """The seed engine's inverted index: value → set of (attribute, row) pairs.
-
-    This is the string path's value index, kept verbatim (modulo the
-    immutable-probe fix) as the storage the identity-interner compatibility
-    mode runs on, so ``benchmarks/bench_storage_intern.py`` measures the
-    interned core against the real seed layout: one ``(position, row)`` tuple
-    per *cell* and a row set rebuilt per probe.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: dict[ValueId,set[tuple[int, int]]] = {}
-
-    def add(self, key: ValueId, position: int, row: int) -> None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self._entries[key] = {(position, row)}
-        else:
-            entry.add((position, row))
-
-    def occurrences(self, key: ValueId) -> frozenset[tuple[int, int]]:
-        """The ``(attribute position, row)`` pairs of *key*, as an immutable set."""
-        pairs = self._entries.get(key)
-        return frozenset(pairs) if pairs else _EMPTY_FROZENSET
-
-    def rows_for(self, key: ValueId) -> frozenset[int]:
-        """All rows in which *key* occurs in any attribute (built per probe)."""
-        pairs = self._entries.get(key)
-        if not pairs:
-            return _EMPTY_FROZENSET
-        return frozenset({row for _, row in pairs})
-
-    def rows_for_any(self, keys: Iterable[ValueId]) -> set[int]:
-        rows: set[int] = set()
-        for key in keys:
-            rows |= self.rows_for(key)
-        return rows
-
-    def rows_for_many(self, keys: Iterable[ValueId]) -> dict[ValueId,frozenset[int]]:
-        return {key: self.rows_for(key) for key in keys}
-
-    def values(self) -> Iterator[ValueId]:
-        return iter(self._entries)
-
-    def copy(self) -> "PairValueIndex":
-        clone = PairValueIndex()
-        clone._entries = {key: set(pairs) for key, pairs in self._entries.items()}
         return clone
 
     def __contains__(self, key: ValueId) -> bool:

@@ -6,7 +6,7 @@ import hashlib
 import sys
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .interning import IdentityInterner, MISSING_ID, ValueId, ValueInterner
+from .interning import MISSING_ID, ValueId, ValueInterner
 from .relation import RelationInstance
 from .schema import DatabaseSchema, RelationSchema, SchemaError
 from .tuples import Tuple
@@ -25,24 +25,15 @@ class DatabaseInstance:
     constructor runs indexed selections over it, constraint checkers scan it
     for violations, and repair generation produces overlays (or new
     instances) from it.
-
-    ``interned=False`` selects the identity-interner compatibility mode that
-    reproduces the seed string-keyed storage path; it exists for the storage
-    benchmark and equivalence tests and is not meant for production use.
     """
 
-    def __init__(self, schema: DatabaseSchema, *, interned: bool = True) -> None:
+    def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
-        self.interner = ValueInterner() if interned else IdentityInterner()
+        self.interner = ValueInterner()
         self._relations: dict[str, RelationInstance] = {
             relation_schema.name: RelationInstance(relation_schema, self.interner)
             for relation_schema in schema
         }
-
-    @property
-    def interned(self) -> bool:
-        """Whether values are dictionary-encoded to dense ids (the default)."""
-        return self.interner.interned
 
     # ------------------------------------------------------------------ #
     # insertion / access
@@ -104,7 +95,7 @@ class DatabaseInstance:
 
     def id_frequency(self, key: ValueId) -> int:
         """Number of tuples (across all relations) containing value id *key*."""
-        if key == MISSING_ID and self.interner.interned:
+        if key == MISSING_ID:
             return 0
         return sum(len(relation.rows_with_id(key)) for relation in self._relations.values())
 
@@ -180,19 +171,6 @@ class DatabaseInstance:
             clone.insert_many(relation_name, relation_rows)
         return clone
 
-    def with_storage(self, *, interned: bool) -> "DatabaseInstance":
-        """Rebuild this instance's contents under the requested storage mode.
-
-        Row order (and therefore the content fingerprint) is preserved; only
-        the physical encoding changes.  Used by the storage benchmark to pit
-        the interned-columnar core against the seed string path on identical
-        contents.
-        """
-        rebuilt = DatabaseInstance(self.schema, interned=interned)
-        for name, relation in self._relations.items():
-            rebuilt.insert_many(name, (tup.values for tup in relation))
-        return rebuilt
-
     # ------------------------------------------------------------------ #
     # content identity
     # ------------------------------------------------------------------ #
@@ -219,8 +197,8 @@ class DatabaseInstance:
         byte-identical reproducibility the scenario generator promises for a
         fixed seed.  Relations are visited in sorted-name order, making the
         digest independent of schema declaration order — and the digest is
-        computed over decoded values, making it independent of the storage
-        mode and of interner id assignment.
+        computed over decoded values, making it independent of interner id
+        assignment.
         """
         digest = hashlib.sha256()
         for name in sorted(self._relations):
@@ -240,14 +218,13 @@ class DatabaseInstance:
         """Storage statistics: rows, distinct values, approximate resident bytes.
 
         Byte counts are estimates from ``sys.getsizeof`` over the owned
-        containers (columns, row-key sets, index dictionaries, the interner's
-        dictionary and value list) — close enough to compare storage modes
-        and watch growth, not an exact heap measurement.
+        containers (columns, index dictionaries, the interner's dictionary
+        and value list) — close enough to watch growth, not an exact heap
+        measurement.
         """
         rows = self.tuple_count()
         column_bytes = 0
         index_bytes = 0
-        distinct_ids: set = set()
         for relation in self._relations.values():
             for position in range(relation.schema.arity):
                 column = relation.column_ids(position)
@@ -257,31 +234,19 @@ class DatabaseInstance:
                 index_bytes += sum(
                     sys.getsizeof(entry) for entry in index._entries.values() if type(entry) is not int
                 )
-                distinct_ids.update(index._entries)
             value_entries = relation._value_index._entries
             index_bytes += sys.getsizeof(value_entries)
-            for entry in value_entries.values():
-                if type(entry) is int:
-                    continue
-                index_bytes += sys.getsizeof(entry)
-                if type(entry) is set:  # seed pair index: count the per-cell pair tuples
-                    index_bytes += sum(sys.getsizeof(pair) for pair in entry)
-            if relation._row_keys is not None:
-                column_bytes += sys.getsizeof(relation._row_keys)
-                column_bytes += sum(sys.getsizeof(key) for key in relation._row_keys)
-        interner_bytes = 0
-        if self.interned:
-            interner_bytes = (
-                sys.getsizeof(self.interner._str_ids)
-                + sys.getsizeof(self.interner._other_ids)
-                + sys.getsizeof(self.interner._values)
-                + sum(sys.getsizeof(value) for value in self.interner.values())
-            )
+            index_bytes += sum(sys.getsizeof(entry) for entry in value_entries.values() if type(entry) is not int)
+        interner_bytes = (
+            sys.getsizeof(self.interner._str_ids)
+            + sys.getsizeof(self.interner._other_ids)
+            + sys.getsizeof(self.interner._values)
+            + sum(sys.getsizeof(value) for value in self.interner.values())
+        )
         return {
-            "interned": self.interned,
             "relations": len(self._relations),
             "rows": rows,
-            "distinct_values": len(self.interner) if self.interned else len(distinct_ids),
+            "distinct_values": len(self.interner),
             "approx_column_bytes": column_bytes,
             "approx_index_bytes": index_bytes,
             "approx_interner_bytes": interner_bytes,

@@ -14,28 +14,19 @@ integer id.  This is the enabling change for cheap storage and cheap probes:
   to ship, mmap, or swap columns for numpy buffers without touching the
   learner (see ROADMAP "Open items").
 
-Two interners share one interface:
-
-* :class:`ValueInterner` — the real dictionary (interned-columnar mode, the
-  default for every :class:`~repro.db.instance.DatabaseInstance`);
-* :class:`IdentityInterner` — maps every value to itself.  Storage built on
-  it behaves exactly like the seed string-keyed engine (raw values as index
-  keys and frontier members, eager tuple materialisation), which is the
-  reference path ``benchmarks/bench_storage_intern.py`` measures the interned
-  core against.
-
-Ids are only meaningful relative to the interner that produced them.
-Interners are append-only and never forget a value, so an id, once handed
-out, stays valid for the lifetime of every instance sharing the dictionary —
+Every :class:`~repro.db.instance.DatabaseInstance` owns one
+:class:`ValueInterner`.  Ids are only meaningful relative to the interner
+that produced them.  Interners are append-only and never forget a value, so
+an id, once handed out, stays valid for the lifetime of every instance sharing the dictionary —
 including copy-on-write overlays, which share their base instance's interner
 by construction.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, NewType, Union, cast
+from typing import Hashable, Iterable, Iterator, NewType
 
-__all__ = ["ValueId", "AnyInterner", "ValueInterner", "IdentityInterner", "MISSING_ID"]
+__all__ = ["ValueId", "ValueInterner", "MISSING_ID"]
 
 #: Opaque alias for the dense value ids handed out by interners.  A distinct
 #: type (rather than ``int``) lets mypy catch the two classic id-plane bugs
@@ -67,9 +58,6 @@ class ValueInterner:
     """
 
     __slots__ = ("_str_ids", "_other_ids", "_values")
-
-    #: Interned storage: ids are dense, so decoding is a list index.
-    interned = True
 
     def __init__(self, values: Iterable[Hashable] = ()) -> None:
         self._str_ids: dict[str, ValueId] = {}
@@ -151,51 +139,3 @@ class ValueInterner:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ValueInterner({len(self)} values)"
-
-
-class IdentityInterner:
-    """Interface-compatible no-op interner: every value is its own id.
-
-    Storage built on an identity interner keys indexes, frontiers and caches
-    on the raw values, exactly as the seed string path did.  It holds no
-    state, so it adds no memory and ``id_of`` is total (there is no notion of
-    an unseen value).
-    """
-
-    __slots__ = ()
-
-    interned = False
-
-    # The identity interner's "ids" are the raw values themselves.  They are
-    # still *typed* as ValueId — a documented compatibility lie (via cast)
-    # that keeps both interners behind one id-plane interface, so call sites
-    # annotate against ValueId regardless of storage mode.
-
-    def intern(self, value: Hashable) -> ValueId:
-        return cast(ValueId, value)
-
-    def intern_many(self, values: Iterable[Hashable]) -> tuple[ValueId, ...]:
-        return cast("tuple[ValueId, ...]", tuple(values))
-
-    def id_of(self, value: Hashable) -> ValueId:
-        return cast(ValueId, value)
-
-    def value_of(self, vid: ValueId) -> Hashable:
-        return vid
-
-    def decode_many(self, ids: Iterable[ValueId]) -> tuple[Hashable, ...]:
-        return tuple(ids)
-
-    def __contains__(self, value: Hashable) -> bool:  # pragma: no cover - trivial
-        return True
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "IdentityInterner()"
-
-
-#: Either interner; the common id-plane interface everything downstream
-#: (relations, indexes, overlays, tuple views) annotates against.
-AnyInterner = Union[ValueInterner, IdentityInterner]

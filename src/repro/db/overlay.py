@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .instance import DatabaseInstance
-from .interning import AnyInterner, ValueId
+from .interning import ValueId, ValueInterner
 from .relation import RelationInstance
 from .schema import SchemaError
 from .tuples import Tuple
@@ -42,7 +42,7 @@ from .tuples import Tuple
 __all__ = ["OverlayInstance", "OverlayRelation"]
 
 
-def _intern_output(relation_name: str, tup: Tuple, interner: AnyInterner) -> tuple[ValueId, ...]:
+def _intern_output(relation_name: str, tup: Tuple, interner: ValueInterner) -> tuple[ValueId, ...]:
     ids = tup.interned_ids(interner)
     if ids is None:
         ids = interner.intern_many(tup.values)
@@ -506,12 +506,9 @@ class OverlayInstance(DatabaseInstance):
         overlays[relation_name] = _transformed_relation(relation, transform_ids)
         return OverlayInstance(self.base, overlays)
 
-    def with_storage(self, *, interned: bool) -> DatabaseInstance:
-        return self.materialize() if interned == self.interned else super().with_storage(interned=interned)
-
     def materialize(self) -> DatabaseInstance:
         """Rebuild a plain instance with identical contents (the reference path)."""
-        materialized = DatabaseInstance(self.schema, interned=self.interned)
+        materialized = DatabaseInstance(self.schema)
         for name, relation in self._relations.items():
             materialized.insert_many(name, iter(relation))
         return materialized

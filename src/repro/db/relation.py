@@ -1,7 +1,6 @@
 """Relation instances: columnar id storage plus per-attribute indexes.
 
-Since the interned storage core a relation stores its tuples as **columns of
-value ids**: one integer array per attribute, all ids drawn from the owning
+A relation stores its tuples as **columns of value ids**: one integer array per attribute, all ids drawn from the owning
 database instance's :class:`~repro.db.interning.ValueInterner`.  The indexes
 (:class:`~repro.db.index.AttributeIndex` per attribute, one
 :class:`~repro.db.index.ValueIndex` across attributes) key on the same ids,
@@ -10,14 +9,6 @@ so every probe of the chase and the coverage machinery hashes integers.
 on first access to a row — a relation that is only ever probed by id never
 materialises a tuple at all — and duplicate detection probes the first
 attribute's index instead of keeping a per-row key set.
-
-With an :class:`~repro.db.interning.IdentityInterner` (``interned=False`` on
-the database instance) "ids" are the raw values and the relation reproduces
-the **seed string path**: raw values as column entries and index keys, the
-seed's :class:`~repro.db.index.PairValueIndex` (one ``(position, row)`` pair
-per cell, row sets rebuilt per probe), an explicit per-row key set, and
-eagerly materialised tuple views.  ``benchmarks/bench_storage_intern.py``
-measures the interned core against exactly that mode.
 """
 
 from __future__ import annotations
@@ -25,8 +16,8 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .index import AttributeIndex, PairValueIndex, ValueIndex
-from .interning import AnyInterner, IdentityInterner, ValueId, ValueInterner
+from .index import AttributeIndex, ValueIndex
+from .interning import ValueId, ValueInterner
 from .schema import RelationSchema
 from .tuples import Tuple
 from .types import coerce_value
@@ -48,7 +39,6 @@ class RelationInstance:
         "schema",
         "interner",
         "_columns",
-        "_row_keys",
         "_attribute_indexes",
         "_value_index",
         "_views",
@@ -56,21 +46,16 @@ class RelationInstance:
         "_canonical",
     )
 
-    def __init__(self, schema: RelationSchema, interner: ValueInterner | IdentityInterner | None = None) -> None:
+    def __init__(self, schema: RelationSchema, interner: ValueInterner | None = None) -> None:
         self.schema = schema
         self.interner = interner if interner is not None else ValueInterner()
-        interned = self.interner.interned
-        self._columns: list = [array("q") if interned else [] for _ in schema.attributes]
-        #: Seed-path structure (identity mode only); the interned core answers
-        #: membership through the first attribute's index instead.
-        self._row_keys: set[tuple] | None = None if interned else set()
+        self._columns: list[array] = [array("q") for _ in schema.attributes]
         self._attribute_indexes: list[AttributeIndex] = [AttributeIndex() for _ in schema.attributes]
-        self._value_index = ValueIndex() if interned else PairValueIndex()
-        #: Lazily materialised tuple views, one slot per row (eager with an
-        #: identity interner, matching the seed path's allocation profile).
+        self._value_index = ValueIndex()
+        #: Lazily materialised tuple views, one slot per row.
         self._views: list[Tuple | None] = []
         #: Memoised has_duplicate_rows() verdict: (row count it was computed
-        #: at, verdict).  Interned mode only; identity mode reads _row_keys.
+        #: at, verdict).
         self._dup_cache: tuple[int, bool] | None = None
         #: Lazily built canonical-row map (see :meth:`canonical_rows`).
         self._canonical: list[int] | None = None
@@ -100,26 +85,16 @@ class RelationInstance:
         if deduplicate and self._contains_ids(ids):
             return view if view is not None else Tuple.from_ids(self.schema.name, ids, interner)
         row = len(self._views)
-        if self._row_keys is not None:
-            self._row_keys.add(ids)
         value_index = self._value_index
-        if type(value_index) is PairValueIndex:
-            for position, key in enumerate(ids):
-                self._columns[position].append(key)
-                self._attribute_indexes[position].add(key, row)
-                value_index.add(key, position, row)
+        for position, key in enumerate(ids):
+            self._columns[position].append(key)
+            self._attribute_indexes[position].add(key, row)
+        if len(set(ids)) == len(ids):
+            for key in ids:
+                value_index.add(key, row)
         else:
-            for position, key in enumerate(ids):
-                self._columns[position].append(key)
-                self._attribute_indexes[position].add(key, row)
-            if len(set(ids)) == len(ids):
-                for key in ids:
-                    value_index.add(key, row)
-            else:
-                for key in dict.fromkeys(ids):
-                    value_index.add(key, row)
-        if view is None and not interner.interned:
-            view = Tuple.from_ids(self.schema.name, ids, interner)
+            for key in dict.fromkeys(ids):
+                value_index.add(key, row)
         self._views.append(view)
         self._dup_cache = None
         self._canonical = None
@@ -156,12 +131,9 @@ class RelationInstance:
     def _contains_ids(self, ids: tuple) -> bool:
         """Whether an identical row is already stored.
 
-        Identity mode keeps the seed's per-row key set; the interned core
-        probes the first attribute's index and compares the (usually one)
+        Probes the first attribute's index and compares the (usually one)
         candidate row's ids instead of spending a tuple per row.
         """
-        if self._row_keys is not None:
-            return ids in self._row_keys
         columns = self._columns
         # rows_view, not rows_for: a frozen probe result would be thawed
         # again by the add() that usually follows, costing a copy per insert.
@@ -295,8 +267,6 @@ class RelationInstance:
 
     def has_duplicate_rows(self) -> bool:
         """Whether at least two stored rows are exactly identical."""
-        if self._row_keys is not None:
-            return len(self._row_keys) < len(self._views)
         count = len(self._views)
         if self._dup_cache is None or self._dup_cache[0] != count:
             distinct = len(set(zip(*self._columns))) if count else 0
@@ -334,7 +304,6 @@ class RelationInstance:
         """
         clone = RelationInstance(self.schema, self.interner)
         clone._columns = [column[:] for column in self._columns]
-        clone._row_keys = set(self._row_keys) if self._row_keys is not None else None
         clone._attribute_indexes = [index.copy() for index in self._attribute_indexes]
         clone._value_index = self._value_index.copy()
         clone._views = list(self._views)

@@ -103,9 +103,6 @@ class ValueInternerView:
 
     __slots__ = ("_is_str",)
 
-    #: The view stands in for interned storage on the worker side.
-    interned = True
-
     def __init__(self) -> None:
         self._is_str = bytearray()
 
@@ -422,10 +419,7 @@ class ShardedInstance:
     the cheap per-relation stamps and routes *only* what changed — appended
     rows extend their shards in place, while an overlay delta that rewrote
     or dropped rows rebuilds that relation's shards under a new generation.
-
-    Requires interned storage: routing hashes value ids, and the wire forms
-    ship ``array('q')`` buffers.  Identity-interner instances (the seed
-    string compatibility path) are refused loudly.
+    Routing hashes value ids, and the wire forms ship ``array('q')`` buffers.
     """
 
     def __init__(
@@ -437,12 +431,6 @@ class ShardedInstance:
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if not database.interned:
-            raise ValueError(
-                "sharding requires interned storage: rows are routed by value id and "
-                "shards ship as integer column buffers (identity-interner instances "
-                "hold raw values in their columns)"
-            )
         self.database = database
         self.shard_count = shard_count
         self._routing = dict(routing_positions or {})
@@ -568,7 +556,7 @@ class ShardedInstance:
         fingerprint-identical to materialising the backing database itself —
         the property suite asserts this for plain and overlay bases alike.
         """
-        materialized = DatabaseInstance(self.database.schema, interned=True)
+        materialized = DatabaseInstance(self.database.schema)
         interner = self.interner
         for name, sharded in self._relations.items():
             target = materialized.relation(name)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 from .schema import RelationSchema, SchemaError
 
 if TYPE_CHECKING:
-    from .interning import AnyInterner, ValueId
+    from .interning import ValueId, ValueInterner
 from .types import coerce_value
 
 __all__ = ["Tuple"]
@@ -77,7 +77,7 @@ class Tuple:
         return cls(schema.name, coerced)
 
     @classmethod
-    def from_ids(cls, relation: str, ids: "tuple[ValueId, ...]", interner: "AnyInterner") -> "Tuple":
+    def from_ids(cls, relation: str, ids: "tuple[ValueId, ...]", interner: "ValueInterner") -> "Tuple":
         """A lazy view over an id row: values decode on first access."""
         view = cls.__new__(cls)
         object.__setattr__(view, "relation", relation)
@@ -99,7 +99,7 @@ class Tuple:
             object.__setattr__(self, "_values", values)
         return values
 
-    def interned_ids(self, interner: "AnyInterner") -> "tuple[ValueId, ...] | None":
+    def interned_ids(self, interner: "ValueInterner") -> "tuple[ValueId, ...] | None":
         """This view's id row when backed by *interner*, else ``None``.
 
         Storage uses this as a fast path: inserting a view back into an

@@ -1,6 +1,7 @@
 """Compiled integer-plane θ-subsumption.
 
-The reference checker (:mod:`repro.logic.subsumption`) runs its NP-hard
+The object-level reference engine
+(:class:`repro.testing.oracles.ReferenceSubsumptionChecker`) runs its NP-hard
 backtracking search directly on boxed :class:`~repro.logic.terms.Variable` /
 :class:`~repro.logic.terms.Constant` dataclasses: every binding copies a
 dict-backed :class:`~repro.logic.substitution.Substitution`, every candidate
@@ -23,8 +24,9 @@ once and runs the same search on arrays:
 
 The compiled engine is observationally equal to the reference checker —
 identical verdicts, valid witnesses, identical retained-literal lists — and
-the reference stays in place as the oracle the property suites compare
-against (``SubsumptionChecker(use_compiled=False)``).
+:class:`~repro.logic.subsumption.SubsumptionChecker` runs every check on it;
+the reference lives in :mod:`repro.testing.oracles` as the oracle the
+property suites compare against.
 
 Budget semantics: the compiled search honours the checker's ``max_steps``
 valve with the same conservative "does not subsume" answer.  Steps charge

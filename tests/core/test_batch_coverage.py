@@ -2,9 +2,9 @@
 
 The batched path (``batch_covers`` / ``covered_counts`` /
 ``batch_predicts_positive``) must return exactly the verdicts of the serial
-reference path (``covers_serial``) for every (clause, example) pair, with and
-without the thread-pool fan-out, and the engine's clause-level caches must
-behave like caches (identity on repeat, cleared by ``clear_cache``).
+reference path (:func:`repro.testing.oracles.covers_serial`) for every
+(clause, example) pair, and the engine's clause-level caches must behave like
+caches (identity on repeat, cleared by ``clear_cache``).
 
 The Hypothesis section at the bottom widens the check beyond hand-picked
 clauses: batched and serial verdicts must agree on *randomly generated*
@@ -26,6 +26,7 @@ from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSc
 from repro.logic import Constant, HornClause, Variable, relation_literal, theta_subsumes
 from repro.logic.subsumption import PreparedGeneral, SubsumptionChecker
 from repro.similarity import SimilarityOperator
+from repro.testing.oracles import covered_counts_serial, covers_serial
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -78,15 +79,15 @@ def candidate_clauses(engine: CoverageEngine) -> list[HornClause]:
 class TestBatchedMatchesSerial:
     def test_batch_covers_matches_serial_verdicts(self, engine):
         for clause in candidate_clauses(engine):
-            serial = [engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
+            serial = [covers_serial(engine, clause, example) for example in ALL_EXAMPLES]
             assert engine.batch_covers(clause, ALL_EXAMPLES) == serial
             assert [engine.covers(clause, example) for example in ALL_EXAMPLES] == serial
 
     def test_covered_counts_matches_serial(self, engine):
         positives, negatives = [POS_M1, POS_M2], [NEG_M3, NEG_M4]
         for clause in candidate_clauses(engine):
-            assert engine.covered_counts(clause, positives, negatives) == engine.covered_counts_serial(
-                clause, positives, negatives
+            assert engine.covered_counts(clause, positives, negatives) == covered_counts_serial(
+                engine, clause, positives, negatives
             )
 
     def test_thread_fanout_matches_serial(self, dirty_movie_problem, fast_config):
@@ -95,10 +96,10 @@ class TestBatchedMatchesSerial:
         dirty_engine = make_engine(dirty_movie_problem, fast_config)
         positives, negatives = [POS_M1, POS_M2], [NEG_M3, NEG_M4]
         for clause in candidate_clauses(dirty_engine):
-            serial = [dirty_engine.covers_serial(clause, example) for example in ALL_EXAMPLES]
+            serial = [covers_serial(dirty_engine, clause, example) for example in ALL_EXAMPLES]
             assert dirty_engine.batch_covers(clause, ALL_EXAMPLES) == serial
-            assert dirty_engine.covered_counts(clause, positives, negatives) == dirty_engine.covered_counts_serial(
-                clause, positives, negatives
+            assert dirty_engine.covered_counts(clause, positives, negatives) == covered_counts_serial(
+                dirty_engine, clause, positives, negatives
             )
 
     def test_batch_predicts_positive_matches_pointwise(self, engine):
@@ -250,7 +251,7 @@ class TestRandomClauseBatchedEquivalence:
     @given(clause=_CLAUSES, examples=_EXAMPLES)
     def test_batch_covers_matches_serial(self, clause, examples):
         engine = _property_engine()
-        serial = [engine.covers_serial(clause, example) for example in examples]
+        serial = [covers_serial(engine, clause, example) for example in examples]
         assert engine.batch_covers(clause, examples) == serial
 
     @given(clause=_CLAUSES, examples=_EXAMPLES)
@@ -258,8 +259,8 @@ class TestRandomClauseBatchedEquivalence:
         engine = _property_engine()
         positives = [example for example in examples if example.positive]
         negatives = [example for example in examples if example.negative]
-        assert engine.covered_counts(clause, positives, negatives) == engine.covered_counts_serial(
-            clause, positives, negatives
+        assert engine.covered_counts(clause, positives, negatives) == covered_counts_serial(
+            engine, clause, positives, negatives
         )
 
     @given(clauses=st.lists(_CLAUSES, min_size=1, max_size=3), examples=_EXAMPLES)

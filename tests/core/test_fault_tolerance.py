@@ -27,6 +27,7 @@ from repro.core.problem import Example
 from repro.core.supervision import DeadlinePolicy, FanoutFault, FanoutFaultError, FaultPolicy
 from repro.db.sharding import RelationShard, ShardedInstance
 from repro.testing.chaos import ChaosInjector, ChaosSpec
+from repro.testing.oracles import relevant_serial
 
 ALL_EXAMPLES = [
     Example(("m1",), True),
@@ -102,7 +103,7 @@ class TestSaturationRecoveryIdentity:
             with pytest.warns(FanoutFault):
                 results = chase.relevant_many(ALL_EXAMPLES)
             for relevant, example in zip(results, ALL_EXAMPLES):
-                _assert_same_relevant(relevant, reference.relevant_serial(example))
+                _assert_same_relevant(relevant, relevant_serial(reference, example))
             assert chase._shard_scatter is scatter  # recovered, not detached
             counters = chase.fault_counters
             assert counters.faults["crash"] == 1 and counters.recoveries == 1
@@ -122,7 +123,7 @@ class TestSaturationRecoveryIdentity:
             with pytest.warns(FanoutFault):
                 results = chase.relevant_many(ALL_EXAMPLES)
             for relevant, example in zip(results, ALL_EXAMPLES):
-                _assert_same_relevant(relevant, reference.relevant_serial(example))
+                _assert_same_relevant(relevant, relevant_serial(reference, example))
             assert chase.fault_counters.faults["timeout"] >= 1
         finally:
             scatter.close()
@@ -152,7 +153,7 @@ class TestSaturationRecoveryIdentity:
                 warnings.simplefilter("always")
                 results = chase.relevant_many(ALL_EXAMPLES)
             for relevant, example in zip(results, ALL_EXAMPLES):
-                _assert_same_relevant(relevant, reference.relevant_serial(example))
+                _assert_same_relevant(relevant, relevant_serial(reference, example))
             assert all(
                 isinstance(w.message, FanoutFault)
                 for w in captured
@@ -181,7 +182,7 @@ class TestSaturationRecoveryIdentity:
         with pytest.warns(FanoutFault, match="falling back") as captured:
             results = chase.relevant_many(ALL_EXAMPLES)
         for relevant, example in zip(results, ALL_EXAMPLES):
-            _assert_same_relevant(relevant, reference.relevant_serial(example))
+            _assert_same_relevant(relevant, relevant_serial(reference, example))
         demotions = [w.message for w in captured.list if "demoted" in str(w.message)]
         assert demotions and demotions[0].kind == "crash"
         assert chase._shard_scatter is None  # detached...

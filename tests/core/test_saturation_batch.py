@@ -2,8 +2,8 @@
 
 :class:`~repro.core.saturation.FrontierChase` drives Algorithm 2's
 relevant-tuple chase for many examples in one pass over the database; the
-per-example reference path (``relevant_serial``) keeps the pre-batching
-behaviour.  Whatever the batch composition, every example must gather exactly
+per-example reference path (:func:`repro.testing.oracles.relevant_serial`)
+keeps the pre-batching behaviour.  Whatever the batch composition, every example must gather exactly
 the same tuples with exactly the same similarity evidence.
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession
 from repro.db import Sampler
+from repro.testing.oracles import install_serial_chase, relevant_serial
 
 
 ALL_EXAMPLES = [
@@ -41,7 +42,7 @@ class TestBatchedChaseEquivalence:
     def test_batched_equals_serial_per_example(self, chase):
         batched = chase.relevant_many(ALL_EXAMPLES)
         for example, relevant in zip(ALL_EXAMPLES, batched):
-            assert_same_relevant(relevant, chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(chase, example))
 
     def test_batch_composition_does_not_matter(self, movie_problem, fast_config):
         indexes = movie_problem.build_similarity_indexes(top_k=2, threshold=0.6)
@@ -56,7 +57,7 @@ class TestBatchedChaseEquivalence:
         config = fast_config.but(use_mds=False)
         chase = FrontierChase(movie_problem, config, {})
         for example, relevant in zip(ALL_EXAMPLES, chase.relevant_many(ALL_EXAMPLES)):
-            assert_same_relevant(relevant, chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(chase, example))
             assert relevant.similarity_evidence == []
 
     def test_batched_exact_match_only(self, movie_problem, fast_config):
@@ -64,7 +65,7 @@ class TestBatchedChaseEquivalence:
         config = fast_config.but(exact_match_only=True)
         chase = FrontierChase(movie_problem, config, indexes)
         for example, relevant in zip(ALL_EXAMPLES, chase.relevant_many(ALL_EXAMPLES)):
-            assert_same_relevant(relevant, chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(chase, example))
 
     def test_results_are_cached_across_calls(self, chase):
         first = chase.relevant_many(ALL_EXAMPLES)
@@ -98,6 +99,11 @@ class TestBuilderFacade:
         from repro.core import DLearn
 
         batched_model = DLearn(fast_config).fit(movie_problem)
-        serial_session = LearningSession(movie_problem, fast_config, serial_saturation=True)
+        serial_session = install_serial_chase(LearningSession(movie_problem, fast_config))
         serial_model = DLearn(fast_config).fit(movie_problem, session=serial_session)
         assert [str(c) for c in batched_model.clauses] == [str(c) for c in serial_model.clauses]
+        # The serial session's ground clauses were all gathered on the
+        # uncached path; its predictions must equal the batched model's.
+        assert serial_session.engine.batch_predicts_positive(
+            serial_model.definition.clauses, ALL_EXAMPLES
+        ) == batched_model.predict(ALL_EXAMPLES)

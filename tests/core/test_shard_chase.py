@@ -7,9 +7,9 @@ otherwise (:class:`~repro.core.fanout.SerialShardScatter`).  Whatever the
 plane, the gathered probe tables must equal the unsharded prefetch's, so
 relevant tuples, similarity evidence, learned definitions and predictions
 cannot depend on the shard count.  This suite pins that identity against the
-uncached ``relevant_serial`` oracle, exercises the session wiring (memoised
-scatter planes, loud structural fallbacks, the serial-saturation exclusion)
-and covers overlay-delta mutation mid-session.
+uncached :func:`repro.testing.oracles.relevant_serial` oracle, exercises the
+session wiring (memoised scatter planes, loud structural fallbacks) and covers
+overlay-delta mutation mid-session.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.problem import Example
 from repro.core.session import DatabasePreparation
 from repro.db.overlay import OverlayInstance
 from repro.db.sharding import ShardedInstance
+from repro.testing.oracles import relevant_serial
 
 ALL_EXAMPLES = [
     Example(("m1",), True),
@@ -65,7 +66,7 @@ class TestSerialScatterIdentity:
         )
         reference = make_chase(movie_problem, fast_config)
         for relevant, example in zip(chase.relevant_many(ALL_EXAMPLES), ALL_EXAMPLES):
-            assert_same_relevant(relevant, reference.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(reference, example))
 
     def test_scattered_equals_unsharded_batched(self, movie_problem, fast_config):
         sharded_chase = make_chase(movie_problem, fast_config)
@@ -86,14 +87,7 @@ class TestSerialScatterIdentity:
             )
             reference = make_chase(movie_problem, config)
             for relevant, example in zip(chase.relevant_many(ALL_EXAMPLES), ALL_EXAMPLES):
-                assert_same_relevant(relevant, reference.relevant_serial(example))
-
-    def test_serial_saturation_chase_refuses_scatter(self, movie_problem, fast_config):
-        chase = FrontierChase(movie_problem, fast_config, {}, batched=False)
-        with pytest.raises(ValueError, match="batched"):
-            chase.attach_shard_scatter(
-                SerialShardScatter(ShardedInstance(movie_problem.database, 2))
-            )
+                assert_same_relevant(relevant, relevant_serial(reference, example))
 
 
 class TestProcessScatterIdentity:
@@ -107,7 +101,7 @@ class TestProcessScatterIdentity:
                 warnings.simplefilter("error")  # a silent fallback would hide the plane
                 results = chase.relevant_many(ALL_EXAMPLES)
             for relevant, example in zip(results, ALL_EXAMPLES):
-                assert_same_relevant(relevant, reference.relevant_serial(example))
+                assert_same_relevant(relevant, relevant_serial(reference, example))
             assert chase._shard_scatter is scatter  # never detached
         finally:
             scatter.close()
@@ -141,7 +135,7 @@ class TestSessionWiring:
         for relevant, example in zip(
             session.chase.relevant_many(ALL_EXAMPLES), ALL_EXAMPLES
         ):
-            assert_same_relevant(relevant, session.chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(session.chase, example))
         session.preparation.close()
 
     def test_scatter_planes_are_memoised_and_recreated_after_close(self, movie_problem):
@@ -161,22 +155,6 @@ class TestSessionWiring:
         assert preparation.sharded_instance(2) is preparation.sharded_instance(2)
         assert preparation.shard_scatter(2, "serial").sharded is preparation.sharded_instance(2)
         preparation.close()
-
-    def test_identity_interner_database_falls_back_loudly(self, movie_problem, fast_config):
-        problem = movie_problem.with_database(
-            movie_problem.database.with_storage(interned=False)
-        )
-        with pytest.warns(RuntimeWarning, match="sharded chase unavailable"):
-            session = LearningSession(problem, fast_config.but(shard_count=2))
-        assert session.chase._shard_scatter is None
-        session.preparation.close()
-
-    def test_serial_saturation_session_skips_scatter(self, movie_problem, fast_config):
-        session = LearningSession(
-            movie_problem, fast_config.but(shard_count=2), serial_saturation=True
-        )
-        assert session.chase._shard_scatter is None
-        session.preparation.close()
 
 
 class _ExplodingScatter:
@@ -201,7 +179,7 @@ class TestFallback:
             results = chase.relevant_many(ALL_EXAMPLES)
         assert chase._shard_scatter is None
         for relevant, example in zip(results, ALL_EXAMPLES):
-            assert_same_relevant(relevant, reference.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(reference, example))
 
     def test_desync_is_a_protocol_bug_and_propagates(self, movie_problem, fast_config):
         chase = make_chase(movie_problem, fast_config)
@@ -218,7 +196,7 @@ class TestOverlayMutationMidSession:
         chase.attach_shard_scatter(SerialShardScatter(ShardedInstance(overlay, 3)))
         before = chase.relevant_many(ALL_EXAMPLES)
         for relevant, example in zip(before, ALL_EXAMPLES):
-            assert_same_relevant(relevant, chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(chase, example))
         # In-place overlay delta: the scatter plane must pick the new rows up
         # through its per-depth sync, after the session-level invalidation
         # every in-place mutation already triggers.
@@ -229,4 +207,4 @@ class TestOverlayMutationMidSession:
         for scattered, plain in zip(after, fresh.relevant_many(ALL_EXAMPLES)):
             assert_same_relevant(scattered, plain)
         for relevant, example in zip(after, ALL_EXAMPLES):
-            assert_same_relevant(relevant, chase.relevant_serial(example))
+            assert_same_relevant(relevant, relevant_serial(chase, example))

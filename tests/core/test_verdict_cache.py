@@ -5,30 +5,36 @@ example set round after round; the verdict cache must serve settled
 (candidate, ground clause, label semantics) triples without re-proving them,
 must key the two label semantics separately, and must reset with
 ``clear_cache``.  The wiring tests pin the session-level sharing contracts:
-one :class:`~repro.logic.compiled.ClauseCompiler` per engine, and the
-``compiled_subsumption`` config switch routing the whole engine through the
-reference checker.
+one :class:`~repro.logic.compiled.ClauseCompiler` per engine, and a
+reference checker keeping its class (and with it the reference engine) when
+the engine clones it to install that compiler.  The reference-fit tests run
+whole learning runs on the object-level reference engine and require the
+production definitions and predictions bit for bit.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import BottomClauseBuilder, CoverageEngine, Example
+from repro.core import BottomClauseBuilder, CoverageEngine, DLearn, DLearnConfig, Example, LearningSession
+from repro.data.registry import generate
+from repro.data.synthetic import ScenarioSpec
 from repro.db import Sampler
+from repro.logic.atoms import LiteralKind
 from repro.logic.subsumption import SubsumptionChecker
+from repro.testing.oracles import ReferenceSubsumptionChecker, covers_serial, install_reference_subsumption
 
 POS_M1 = Example(("m1",), True)
 POS_M2 = Example(("m2",), True)
 NEG_M3 = Example(("m3",), False)
 
 
-def make_engine(problem, config) -> CoverageEngine:
+def make_engine(problem, config, checker: SubsumptionChecker | None = None) -> CoverageEngine:
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
     builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    return CoverageEngine(builder, config, checker or SubsumptionChecker())
 
 
 @pytest.fixture
@@ -71,7 +77,7 @@ class TestVerdictCache:
         examples = [POS_M1, POS_M2, NEG_M3]
         batched = engine.batch_covers(candidate, examples)
         twice = engine.batch_covers(candidate, examples)
-        serial = [engine.covers_serial(candidate, example) for example in examples]
+        serial = [covers_serial(engine, candidate, example) for example in examples]
         assert batched == twice == serial
 
     def test_clear_cache_resets_verdicts(self, engine, candidate):
@@ -86,15 +92,20 @@ class TestCompiledWiring:
         assert engine.compiler is engine.checker.compiler
 
     def test_thread_checker_inherits_compiled_mode(self, movie_problem, fast_config):
-        # Coverage, saturation and grounding all run on the engine's one
-        # checker, so the config switch must reach it with the shared compiler.
-        engine = make_engine(movie_problem, fast_config.but(compiled_subsumption=False))
-        assert not engine.checker.use_compiled
+        # The engine's one checker inherits the engine mode of the checker it
+        # was given: the engine clones a compiler-less checker to install its
+        # compiler, and the clone must stay a reference checker, or the
+        # oracle would silently prove on the compiled engine.
+        checker = ReferenceSubsumptionChecker(max_steps=500)
+        engine = make_engine(movie_problem, fast_config, checker)
+        assert engine.checker is not checker
+        assert type(engine.checker) is ReferenceSubsumptionChecker
+        assert engine.checker.max_steps == 500
         assert engine.checker.compiler is engine.compiler
 
     def test_reference_mode_produces_identical_verdicts(self, movie_problem, fast_config):
         compiled_engine = make_engine(movie_problem, fast_config)
-        reference_engine = make_engine(movie_problem, fast_config.but(compiled_subsumption=False))
+        reference_engine = make_engine(movie_problem, fast_config, ReferenceSubsumptionChecker())
         examples = [POS_M1, POS_M2, NEG_M3]
         candidate = compiled_engine.builder.build(POS_M1, ground=False)
         assert compiled_engine.batch_covers(candidate, examples) == reference_engine.batch_covers(
@@ -108,3 +119,67 @@ class TestCompiledWiring:
         assert session.engine.compiler is session.preparation.compiler
         evaluation = session.for_examples(session.problem.examples)
         assert evaluation.engine.compiler is session.preparation.compiler
+
+
+def _dirty_synthetic_problem():
+    """A small CFD-heavy, MD-drifted world whose ground clauses carry ``~`` and CFD literals."""
+    spec = ScenarioSpec(
+        n_entities=30,
+        n_positives=6,
+        n_negatives=12,
+        string_variant_intensity=0.6,
+        md_drift=0.7,
+        cfd_violation_rate=0.25,
+        null_rate=0.05,
+        duplicate_rate=0.1,
+        seed=1,
+    )
+    return generate("synthetic", spec=spec).problem()
+
+
+_DIRTY_CONFIG = DLearnConfig(
+    iterations=2,
+    sample_size=4,
+    top_k_matches=3,
+    generalization_sample=4,
+    max_clauses=4,
+    min_clause_positive_coverage=2,
+    min_clause_precision=0.55,
+    # Unreduced clauses keep their similarity and repair literals, so the
+    # learned definitions themselves exercise the extended language.
+    reduce_clauses=False,
+    seed=0,
+)
+
+
+class TestReferenceFit:
+    """A whole ``fit`` on the reference engine learns and predicts exactly what production does."""
+
+    @staticmethod
+    def _fit_both(problem, config):
+        production = DLearn(config).fit(problem)
+        session = install_reference_subsumption(LearningSession(problem, config))
+        reference = DLearn(config).fit(problem, session=session)
+        assert type(session.engine.checker) is ReferenceSubsumptionChecker
+        assert [str(c) for c in reference.clauses] == [str(c) for c in production.clauses]
+        examples = problem.examples.all()
+        assert session.engine.batch_predicts_positive(reference.definition.clauses, examples) == (
+            production.predict(examples)
+        )
+        return production, session
+
+    def test_movie_world(self, movie_problem, fast_config):
+        production, _ = self._fit_both(movie_problem, fast_config)
+        assert production.clauses
+
+    def test_dirty_synthetic_world(self):
+        problem = _dirty_synthetic_problem()
+        production, session = self._fit_both(problem, _DIRTY_CONFIG)
+        learned = [literal for clause in production.clauses for literal in clause.body]
+        assert any(literal.kind is LiteralKind.SIMILARITY for literal in learned)
+        grounds = [session.engine.ground_bottom_clause(example) for example in problem.examples.all()]
+        assert any(
+            literal.is_repair and literal.provenance.startswith("cfd:")
+            for ground in grounds
+            for literal in ground.body
+        )

@@ -1,9 +1,9 @@
 """Tests for the interned columnar storage core.
 
 Covers the value interner (round-trips, dense ids, the MISSING_ID contract),
-the identity-interner compatibility mode, lazy tuple views, exact value
-round-trips through storage for non-string domains, storage-mode-independent
-fingerprints, and the ``stats()`` reporting helper.
+lazy tuple views, exact value round-trips through storage for non-string
+domains, probe answers on plain and overlay storage, and the ``stats()``
+reporting helper.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from repro.db import (
     AttributeType,
     DatabaseInstance,
     DatabaseSchema,
-    IdentityInterner,
     MISSING_ID,
+    OverlayInstance,
     RelationSchema,
     Tuple,
     ValueInterner,
+    coerce_value,
 )
 
 VALUES = st.one_of(
@@ -97,20 +98,6 @@ class TestValueInterner:
 
     def test_interners_have_slots(self):
         assert not hasattr(ValueInterner(), "__dict__")
-        assert not hasattr(IdentityInterner(), "__dict__")
-
-
-class TestIdentityInterner:
-    @given(value=VALUES)
-    def test_every_value_is_its_own_id(self, value):
-        interner = IdentityInterner()
-        assert interner.intern(value) == value
-        assert interner.id_of(value) == value
-        assert interner.value_of(value) == value
-
-    def test_mode_flags(self):
-        assert ValueInterner().interned is True
-        assert IdentityInterner().interned is False
 
 
 class TestTupleViews:
@@ -150,7 +137,7 @@ class TestStorageRoundTrip:
                 st.integers(min_value=-1000, max_value=1000) | st.none(),
                 # -0.0 folds with 0.0 under every dict-equality scheme and
                 # reprs differently; it is the one value exempt from the
-                # exact-fingerprint contract.
+                # exact round-trip contract.
                 st.floats(allow_nan=False, allow_infinity=False, width=32).filter(
                     lambda f: not (f == 0.0 and str(f).startswith("-"))
                 )
@@ -162,33 +149,29 @@ class TestStorageRoundTrip:
         )
     )
     def test_non_string_domains_round_trip_exactly_in_both_modes(self, rows):
-        interned_db = DatabaseInstance(mixed_schema(), interned=True)
-        string_db = DatabaseInstance(mixed_schema(), interned=False)
-        interned_db.insert_many("readings", rows)
-        string_db.insert_many("readings", rows)
-        interned_values = [tup.values for tup in interned_db.relation("readings")]
-        string_values = [tup.values for tup in string_db.relation("readings")]
-        assert interned_values == string_values
-        assert interned_db.content_fingerprint() == string_db.content_fingerprint()
-
-    def test_with_storage_preserves_fingerprint_and_contents(self):
-        db = DatabaseInstance(mixed_schema())
-        db.insert_many(
-            "readings",
-            [("s1", 3, 0.5, True, "ok"), ("s2", None, 1.25, False, None), ("s1", 3, 0.5, True, "ok")],
-        )
-        rebuilt = db.with_storage(interned=False)
-        assert rebuilt.interned is False
-        assert rebuilt.content_fingerprint() == db.content_fingerprint()
-        back = rebuilt.with_storage(interned=True)
-        assert back.interned is True
-        assert back.content_fingerprint() == db.content_fingerprint()
+        schema = mixed_schema()
+        plain = DatabaseInstance(schema)
+        plain.insert_many("readings", rows)
+        attributes = schema.relation("readings").attributes
+        coerced = [
+            tuple(coerce_value(value, attribute.type) for value, attribute in zip(row, attributes))
+            for row in rows
+        ]
+        # Plain storage, and a copy-on-write overlay reading through it.
+        for db in (plain, OverlayInstance(plain)):
+            stored = [tup.values for tup in db.relation("readings")]
+            assert stored == coerced
+            # Exact types too: 1 == 1.0 == True would hide a rewritten spelling.
+            assert [tuple(map(type, values)) for values in stored] == [
+                tuple(map(type, values)) for values in coerced
+            ]
 
     def test_probes_agree_across_storage_modes(self):
         schema = DatabaseSchema.of(RelationSchema.of("movies", ["id", "title"]))
-        for interned in (True, False):
-            db = DatabaseInstance(schema, interned=interned)
-            db.insert_many("movies", [("m1", "Superbad"), ("m2", "Superbad"), ("m3", "Orphanage")])
+        plain = DatabaseInstance(schema)
+        plain.insert_many("movies", [("m1", "Superbad"), ("m2", "Superbad"), ("m3", "Orphanage")])
+        # A copy-on-write overlay answers probes by patching its base's.
+        for db in (plain, OverlayInstance(plain)):
             movies = db.relation("movies")
             assert [t.values[0] for t in movies.select_equal("title", "Superbad")] == ["m1", "m2"]
             assert movies.rows_with_value("Orphanage") == frozenset({2})
@@ -203,19 +186,9 @@ class TestStats:
         db = DatabaseInstance(schema)
         db.insert_many("movies", [("m1", "Superbad"), ("m2", "Superbad")])
         stats = db.stats()
-        assert stats["interned"] is True
         assert stats["rows"] == 2
         assert stats["distinct_values"] == 3  # m1, m2, Superbad
         assert stats["approx_total_bytes"] > 0
         assert stats["approx_total_bytes"] == (
             stats["approx_column_bytes"] + stats["approx_index_bytes"] + stats["approx_interner_bytes"]
         )
-
-    def test_identity_mode_stats_count_distinct_values_without_an_interner(self):
-        schema = DatabaseSchema.of(RelationSchema.of("movies", ["id", "title"]))
-        db = DatabaseInstance(schema, interned=False)
-        db.insert_many("movies", [("m1", "Superbad"), ("m2", "Superbad")])
-        stats = db.stats()
-        assert stats["interned"] is False
-        assert stats["distinct_values"] == 3
-        assert stats["approx_interner_bytes"] == 0

@@ -35,7 +35,7 @@ def make_instance(n_rows: int, seed: int = 0) -> DatabaseInstance:
         RelationSchema.of("person", ("name", "city", "flag")),
         RelationSchema.of("visit", ("name", "place")),
     )
-    database = DatabaseInstance(schema, interned=True)
+    database = DatabaseInstance(schema)
     person = database.relation("person")
     visit = database.relation("visit")
     for i in range(n_rows):
@@ -151,13 +151,6 @@ class TestMerges:
 
 
 class TestShardedInstance:
-    def test_rejects_identity_interner_storage(self):
-        database = DatabaseInstance(
-            DatabaseSchema.of(RelationSchema.of("r", ("a",))), interned=False
-        )
-        with pytest.raises(ValueError, match="interned storage"):
-            ShardedInstance(database, 2)
-
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shard_count"):
             ShardedInstance(make_instance(4), 0)

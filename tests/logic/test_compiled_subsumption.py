@@ -44,6 +44,7 @@ from repro.logic import (
     theta_subsumes,
 )
 from repro.logic.subsumption import SubsumptionChecker, _default_checker
+from repro.testing.oracles import ReferenceSubsumptionChecker
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -54,11 +55,11 @@ def head(term=X, predicate="t"):
 
 
 def compiled_checker(**kwargs) -> SubsumptionChecker:
-    return SubsumptionChecker(use_compiled=True, **kwargs)
+    return SubsumptionChecker(**kwargs)
 
 
 def reference_checker(**kwargs) -> SubsumptionChecker:
-    return SubsumptionChecker(use_compiled=False, **kwargs)
+    return ReferenceSubsumptionChecker(**kwargs)
 
 
 # --------------------------------------------------------------------- #
