@@ -68,12 +68,17 @@ class DLearnConfig:
         bounded.
     reduce_clauses:
         After the generalisation search selects a clause, drop every body
-        literal whose removal does not let the clause cover additional
-        negative examples.  Bottom clauses carry incidental literals that
-        survive generalisation because they happen to be satisfiable for the
-        training positives; removing them yields the concise definitions the
-        paper reports and improves recall on held-out examples.  The
-        ablation benchmark switches this off to measure its effect.
+        literal that shares no variable with the head and whose removal does
+        not let the clause cover additional negative examples
+        (:meth:`~repro.core.generalization.Generalizer.reduce_clause`).
+        Bottom clauses carry incidental literals that survive generalisation
+        because they happen to be satisfiable for the training positives;
+        removing them yields the concise definitions the paper reports and
+        improves recall on held-out examples.  The reduction removes the
+        literals in blocks, usually all of them in one coverage check, and
+        wherever coverage is monotone in the body it returns the clause that
+        trying them one at a time would.  The ablation benchmark switches
+        this off to measure its effect.
     n_jobs:
         Must be 1: every coverage check runs on the calling thread.  The
         field remains only because a benchmark workload passes ``n_jobs=1``.

@@ -11,7 +11,9 @@ repair-literal language:
   connection to the head went through it;
 * :meth:`Generalizer.learn_clause` runs the paper's search: propose one ARMG
   per example of a random sample ``E+_s``, keep the highest-scoring
-  candidate, and repeat until the score stops improving.
+  candidate, and repeat until the score stops improving;
+* :meth:`Generalizer.reduce_clause` ends the search by dropping, in blocks,
+  every literal whose removal covers no additional negative example.
 """
 
 from __future__ import annotations
@@ -134,38 +136,74 @@ class Generalizer:
     # negative-preserving clause reduction
     # ------------------------------------------------------------------ #
     def reduce_clause(self, clause: HornClause, negatives: Sequence[Example]) -> HornClause:
-        """Drop body literals whose removal does not cover additional negatives.
+        """Drop every body literal whose removal does not cover additional negatives.
 
-        Removing a literal can only make a clause more general, so positive
-        coverage never shrinks; the reduction therefore only has to guard the
-        negative side.  Literals are tried in reverse derivation order so the
-        incidental literals gathered late in bottom-clause construction are
-        discarded before the clause's core join path is ever considered.
+        The contract: the result's body is a subset of *clause*'s, and the
+        result covers no negative that *clause* itself does not cover.
+        Removing a literal generalises the clause, so the reduction only
+        guards the negative side.  Literals that share a variable with the
+        head are never dropped: they describe the target entity itself (its
+        own genre, its own title row), and negatives are often too few to
+        witness their importance.
+
+        The result is that of a greedy loop (kept as
+        :func:`repro.testing.oracles.reduce_clause_greedy`) which tries the
+        droppable literals one at a time in reverse derivation order, so the
+        incidental literals gathered late in bottom-clause construction go
+        before the clause's core join path is considered, and keeps each
+        removal that covers no new negative.  It is computed as a block
+        search instead: drop a whole block of literals at once, prune, and
+        accept the block if the candidate keeps a body and covers no
+        negative outside the input clause's; otherwise split the block and
+        try its first half, then its second, down to single literals, which
+        are judged exactly as the greedy loop judges them.  The first block
+        is every droppable literal, and it is usually accepted, so one check
+        replaces one per literal.
+
+        The two agree where coverage is monotone in the body, i.e. a clause
+        whose body is a subset of another's covers a superset of its
+        examples.  Every clause the greedy loop would test while working
+        through an accepted block has a superset of the accepted candidate's
+        body, so it covers no new negative either, and the greedy loop would
+        have dropped each literal of the block in turn.  A rejected block
+        contains a literal the greedy loop rejects, and halving reaches it
+        with the same clause the greedy loop would test it against.
+        θ-subsumption itself is monotone; a check that exhausts its step
+        budget (:attr:`repro.logic.subsumption.SearchStats.exhausted`) and
+        a CFD repair group stripped of one of its literals (the rest of the
+        group then repairs differently) are where it can fail.  The contract
+        above holds either way, because every accepted candidate is checked
+        against the input clause's negatives.
         """
-        baseline = {
-            index for index, covered in enumerate(self.engine.batch_covers(clause, negatives)) if covered
-        }
+        negatives = list(negatives)
+        # Only a negative the input clause leaves uncovered can reject a
+        # candidate: "covers no negative outside the baseline".
+        outside = [
+            example
+            for example, covered in zip(negatives, self.engine.batch_covers(clause, negatives))
+            if not covered
+        ]
         head_variables = clause.head.argument_variables()
+        droppable = [
+            literal for literal in reversed(clause.body) if not literal.argument_variables() & head_variables
+        ]
         current = clause
-        for literal in reversed(clause.body):
-            if literal not in current.body:
-                continue  # already dropped as a side effect of an earlier removal
-            if literal.argument_variables() & head_variables:
-                # Literals about the target entity itself (its own genre, its
-                # own title row) are the clause's backbone; negative examples
-                # are often too few to witness their importance, so they are
-                # never reduced away.
+        # Blocks still to try, the next one on top; a plain loop, since a
+        # self-referencing recursive closure would leave a reference cycle.
+        blocks = [droppable]
+        while blocks:
+            body = set(current.body)
+            # Literals already pruned by an earlier removal are skipped.
+            block = [literal for literal in blocks.pop() if literal in body]
+            if not block:
                 continue
-            candidate = current.without([literal]).prune_disconnected().prune_dangling_restrictions()
-            if not candidate.body:
-                continue
-            covered = {
-                index
-                for index, flag in enumerate(self.engine.batch_covers(candidate, negatives))
-                if flag
-            }
-            if covered <= baseline:
+            candidate = current.without(block).prune_disconnected().prune_dangling_restrictions()
+            if candidate.body and not any(self.engine.batch_covers(candidate, outside)):
                 current = candidate
+            elif len(block) > 1:
+                middle = len(block) // 2
+                blocks.append(block[middle:])
+                blocks.append(block[:middle])
         return current
 
     @staticmethod

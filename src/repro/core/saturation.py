@@ -314,7 +314,7 @@ class FrontierChase:
         self.config = config
         self.similarity_indexes = similarity_indexes or {}
         self.probes = probes or DatabaseProbeCache(problem.database)
-        self.cache = cache or SaturationCache()
+        self.cache = cache if cache is not None else SaturationCache()
         self._interner = problem.database.interner
         #: (md name, value id) → decoded top-k partner values.
         self._partner_cache: dict[tuple[str, object], tuple[object, ...]] = {}

@@ -125,8 +125,12 @@ class SearchStats:
     (:meth:`SubsumptionChecker.subsumes`);
     ``retries`` / ``retry_exhausted`` count the full-backtracking fallbacks
     of :meth:`SubsumptionChecker.retained_generalization` and how many of
-    them burnt their whole step budget.  Counters are cumulative;
-    :meth:`reset` rewinds them.
+    them burnt their whole step budget; ``exhausted`` counts every search
+    whose step budget ran out — verdicts, the greedy scans of
+    :meth:`SubsumptionChecker.retained_generalization` and its retries.  An
+    exhausted search concedes the conservative outcome (not subsumed, or the
+    literal dropped), so ``exhausted == 0`` certifies that every answer was
+    exact.  Counters are cumulative; :meth:`reset` rewinds them.
     """
 
     checks: int = 0
@@ -134,9 +138,10 @@ class SearchStats:
     certificates: int = 0
     retries: int = 0
     retry_exhausted: int = 0
+    exhausted: int = 0
 
     def reset(self) -> None:
-        self.checks = self.retries = self.retry_exhausted = 0
+        self.checks = self.retries = self.retry_exhausted = self.exhausted = 0
 
 
 class _UnionFind:
@@ -341,6 +346,7 @@ class SubsumptionChecker:
                 search.seed_head()
                 found = search.run_with_connectivity()
         except BudgetExceeded:
+            self.stats.exhausted += 1
             return None
         return search if found else None
 
@@ -415,6 +421,7 @@ class SubsumptionChecker:
                 matched = state.greedy_match(goal)
             except BudgetExceeded:
                 state.undo(mark)
+                self.stats.exhausted += 1
                 break  # greedy budget exhausted: drop the rest
             if matched is not None:
                 state.assignment[index] = matched
@@ -430,6 +437,7 @@ class SubsumptionChecker:
                 matched_under_head = head_state.greedy_match(goal)
             except BudgetExceeded:
                 head_state.undo(head_mark)
+                self.stats.exhausted += 1
                 break  # greedy budget exhausted: drop the rest
             head_state.undo(head_mark)
             state.steps = head_state.steps
@@ -462,6 +470,7 @@ class SubsumptionChecker:
                 return retry
         except BudgetExceeded:
             self.stats.retry_exhausted += 1
+            self.stats.exhausted += 1
         return None
 
     # ------------------------------------------------------------------ #

@@ -15,6 +15,10 @@ production path against it:
 * :func:`relevant_serial` — the uncached per-example chase behind the
   batched :meth:`~repro.core.saturation.FrontierChase.relevant_many`;
   :func:`install_serial_chase` routes a session's gathering through it.
+* :func:`reduce_clause_greedy` — the one-literal-at-a-time clause reduction
+  behind the block search of
+  :meth:`~repro.core.generalization.Generalizer.reduce_clause`, which
+  matches it wherever coverage is monotone in the clause body.
 
 Every oracle must give bit-identical results to its production path; only
 the cost profile differs.
@@ -52,6 +56,7 @@ __all__ = [
     "covers_serial",
     "install_reference_subsumption",
     "install_serial_chase",
+    "reduce_clause_greedy",
     "relevant_serial",
 ]
 
@@ -548,6 +553,37 @@ def covered_counts_serial(
     positives_covered = sum(1 for example in positives if covers_serial(engine, clause, example))
     negatives_covered = sum(1 for example in negatives if covers_serial(engine, clause, example))
     return positives_covered, negatives_covered
+
+
+# --------------------------------------------------------------------- #
+# generalisation
+# --------------------------------------------------------------------- #
+def reduce_clause_greedy(
+    generalizer: Generalizer, clause: HornClause, negatives: Sequence[Example]
+) -> HornClause:
+    """Reference for :meth:`Generalizer.reduce_clause`: one literal, one check.
+
+    Tries the body literals that share no variable with the head one at a
+    time in reverse derivation order, and drops each whose removal (followed
+    by pruning) leaves a non-empty body that covers no negative outside the
+    ones *clause* already covers — re-scoring every negative after each try.
+    """
+    engine = generalizer.engine
+    baseline = {index for index, covered in enumerate(engine.batch_covers(clause, negatives)) if covered}
+    head_variables = clause.head.argument_variables()
+    current = clause
+    for literal in reversed(clause.body):
+        if literal not in current.body:
+            continue  # already dropped as a side effect of an earlier removal
+        if literal.argument_variables() & head_variables:
+            continue
+        candidate = current.without([literal]).prune_disconnected().prune_dangling_restrictions()
+        if not candidate.body:
+            continue
+        covered = {index for index, flag in enumerate(engine.batch_covers(candidate, negatives)) if flag}
+        if covered <= baseline:
+            current = candidate
+    return current
 
 
 # --------------------------------------------------------------------- #

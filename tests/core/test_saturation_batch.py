@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession
+from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession, SaturationCache
 from repro.db import Sampler
 from repro.testing.oracles import install_serial_chase, relevant_serial
 
@@ -77,6 +77,17 @@ class TestBatchedChaseEquivalence:
     def test_duplicate_examples_in_one_batch(self, chase):
         results = chase.relevant_many([ALL_EXAMPLES[0], ALL_EXAMPLES[0]])
         assert results[0] is results[1]
+
+    def test_empty_shared_cache_is_kept(self, movie_problem, fast_config):
+        # An empty SaturationCache has length 0; it must still be the cache
+        # both chases share, not be swapped for a private one.
+        cache = SaturationCache()
+        first = FrontierChase(movie_problem, fast_config, {}, cache=cache)
+        second = FrontierChase(movie_problem, fast_config, {}, cache=cache)
+        assert first.cache is cache and second.cache is cache
+        relevant = first.relevant(ALL_EXAMPLES[0])
+        assert len(cache) > 0
+        assert second.relevant(ALL_EXAMPLES[0]) is relevant
 
 
 class TestBuilderFacade:

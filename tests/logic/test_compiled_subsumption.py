@@ -379,15 +379,39 @@ class TestSearchStats:
         assert checker.retained_generalization(general, specific) == list(general.body)
         assert (checker.stats.retries, checker.stats.retry_exhausted) == (1, 0)
 
+    def test_exhausted_verdict_is_counted(self):
+        general, specific = _symmetric_chain_pair()
+        checker = compiled_checker(max_steps=2)
+        assert not checker.subsumes(general, specific).subsumes
+        assert (checker.stats.exhausted, checker.stats.retry_exhausted) == (1, 0)
+        unbounded = compiled_checker(max_steps=None)
+        assert unbounded.subsumes(general, specific).subsumes
+        assert unbounded.stats.exhausted == 0
+
+    def test_exhausted_greedy_scan_is_counted(self):
+        # A one-step budget runs out in the greedy scans, before any retry.
+        general, specific = _doomed_retry_pair(width=30)
+        checker = compiled_checker(max_steps=1)
+        assert checker.retained_generalization(general, specific) == [general.body[0]]
+        assert (checker.stats.exhausted, checker.stats.retries) == (1, 0)
+
+    def test_exhausted_retry_is_counted_once_in_each_counter(self):
+        general, specific = _doomed_retry_pair(width=40)
+        checker = compiled_checker(max_steps=25)
+        checker.retained_generalization(general, specific)
+        assert (checker.stats.retry_exhausted, checker.stats.exhausted) == (1, 1)
+
     def test_stats_reset(self):
         general, specific = _doomed_retry_pair(width=40)
         checker = compiled_checker(max_steps=25)
         checker.subsumes(general, specific)
         checker.retained_generalization(general, specific)
         assert (checker.stats.checks, checker.stats.retries, checker.stats.retry_exhausted) == (1, 1, 1)
+        assert checker.stats.exhausted == 2  # the verdict and the retry
         checker.stats.reset()
         stats = checker.stats
-        assert (stats.checks, stats.certificates, stats.retries, stats.retry_exhausted) == (0, 0, 0, 0)
+        counters = (stats.checks, stats.certificates, stats.retries, stats.retry_exhausted, stats.exhausted)
+        assert counters == (0, 0, 0, 0, 0)
 
 
 class TestThreadSafety:

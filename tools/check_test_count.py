@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-#: Collected-test floor; the suite held 674 tests when this was last set.
-MIN_TEST_COUNT = 674
+#: Collected-test floor; the suite held 684 tests when this was last set.
+MIN_TEST_COUNT = 684
 
 
 class _CollectionCounter:
