@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..db.sampling import Sampler
 from ..db.tuples import Tuple
 from ..logic.atoms import Literal, relation_literal
 from ..logic.clauses import HornClause
@@ -210,10 +209,6 @@ class BottomClauseBuilder:
     similarity_indexes:
         Precomputed top-``k_m`` similarity indexes keyed by MD name (from
         :meth:`repro.core.problem.LearningProblem.build_similarity_indexes`).
-    sampler:
-        Unused; kept for signature compatibility.  Relevant-tuple sampling is
-        seeded per example from the example's values and ``config.seed``, so
-        chase results do not depend on any shared sampler state.
     chase / assembler:
         Pre-built components (supplied by :class:`repro.core.session.LearningSession`).
     """
@@ -223,7 +218,6 @@ class BottomClauseBuilder:
         problem: LearningProblem,
         config: DLearnConfig,
         similarity_indexes: dict[str, SimilarityIndex] | None = None,
-        sampler: Sampler | None = None,
         *,
         chase: FrontierChase | None = None,
         assembler: ClauseAssembler | None = None,

@@ -24,14 +24,21 @@ Every step of that pipeline is a pure function of the participating clauses,
 and learning evaluates the same clauses against the same examples over and
 over: the ground bottom clause of an example is tested against every
 candidate of every generalisation round, and a candidate clause is tested
-against every example.  The engine therefore caches *both* sides:
+against every example.  Both sides are therefore prepared once:
 
 * ground bottom clauses are built and prepared once per example (keyed on the
   example's values — the clause does not depend on the label);
-* the general side is prepared once per clause
-  (:class:`repro.logic.subsumption.PreparedGeneral`), and the MD projection
-  and CFD-variant expansion of any clause are memoised in per-engine LRU
-  caches.
+* a clause's prepared form is its compiled integer-plane form
+  (:class:`~repro.logic.compiled.CompiledGeneral` /
+  :class:`~repro.logic.compiled.CompiledSpecific`), served by
+  :meth:`~repro.logic.subsumption.SubsumptionChecker.prepare_general` /
+  :meth:`~repro.logic.subsumption.SubsumptionChecker.prepare` from the one
+  cache of the checker's :class:`~repro.logic.compiled.ClauseCompiler` —
+  for learning sessions, the compiler of the database preparation, so every
+  session over one database shares the forms.  Compiled forms are pure
+  functions of the clause, so database writes never invalidate them;
+* the MD projection and CFD-variant expansion of any clause are memoised in
+  per-engine LRU caches.
 
 :meth:`CoverageEngine.batch_covers` evaluates one clause against many
 examples through those caches, proving every pair on the calling thread;
@@ -43,9 +50,7 @@ On top of the clause-level caches sits a session-level **verdict cache**:
 the final coverage verdict of every (candidate clause, ground bottom clause,
 label semantics) triple is remembered, so the covering loop — which re-scores
 surviving candidates against the full example set round after round — never
-re-proves a pair it already settled.  The engine also owns the session's
-:class:`~repro.logic.compiled.ClauseCompiler`: one term interner per
-session, so clauses are compiled to the integer plane once per session.
+re-proves a pair it already settled.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from ..logic.clauses import HornClause
-from ..logic.compiled import ClauseCompiler
-from ..logic.subsumption import PreparedClause, PreparedGeneral, SubsumptionChecker
+from ..logic.compiled import CompiledGeneral, CompiledSpecific
+from ..logic.subsumption import SubsumptionChecker
 from .bottom_clause import BottomClauseBuilder
 from .config import DLearnConfig
 from .problem import Example
@@ -66,17 +71,10 @@ __all__ = ["CoverageEngine"]
 
 _CFD_PREFIX = "cfd:"
 
-#: Size of the per-engine LRU caches over general-side clause computations
-#: (prepared candidate clauses, MD projections, CFD-variant expansions).  One
-#: learning run touches at most a few hundred distinct candidates.
+#: Size of the per-engine LRU caches over clause derivations (MD
+#: projections, CFD-variant expansions).  One learning run touches at most a
+#: few hundred distinct candidates.
 _CLAUSE_CACHE_SIZE = 1024
-
-#: Size of the prepared-specific cache.  Sized separately because it also
-#: holds the per-example ground MD projections and up to
-#: ``max_cfd_expansions`` prepared CFD variants per ground clause — with the
-#: default expansion cap of 64 this accommodates ~125 examples' worth of
-#: variants before eviction.
-_SPECIFIC_CACHE_SIZE = 8192
 
 #: Entry bound on the session-level verdict cache.  Keys are
 #: (clause, clause, bool) triples whose hashes are memoised, so entries are
@@ -134,23 +132,11 @@ class CoverageEngine:
     ) -> None:
         self.builder = builder
         self.config = config
-        checker = checker or SubsumptionChecker()
-        if checker.compiler is None:
-            # Clone instead of mutating the caller's instance: a checker
-            # passed in may be shared outside this engine, and installing a
-            # compiler on it would silently couple those other users.  The
-            # clone keeps the checker's class (a test oracle stays one).
-            checker = type(checker)(
-                respect_repair_connectivity=checker.respect_repair_connectivity,
-                condition_subset=checker.condition_subset,
-                max_steps=checker.max_steps,
-                compiler=ClauseCompiler(),
-            )
-        self.checker = checker
-        #: Session-level clause compiler: compiled clause forms attached to
-        #: the prepared caches are only valid against its term interner.
+        self.checker = checker if checker is not None else SubsumptionChecker()
+        #: The compiler the checker prepares through: the cached ground forms
+        #: are expressed in its term dictionary.
         self.compiler = self.checker.compiler
-        self._ground_cache: dict[tuple[object, ...], PreparedClause] = {}
+        self._ground_cache: dict[tuple[object, ...], CompiledSpecific] = {}
         self._verdict_cache: dict[tuple[HornClause, HornClause, bool], bool] = {}
         #: Mutation-stamp of the database the cached ground clauses (and the
         #: verdicts derived from them) were built against.  Overlay instances
@@ -165,9 +151,7 @@ class CoverageEngine:
         #: lock-guarded, and the size-cap eviction (check, clear, insert) is
         #: not atomic without it.
         self._verdict_lock = threading.Lock()
-        # Pure per-clause computations, memoised for the engine's lifetime.
-        self._prepare_general = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(self.checker.prepare_general)
-        self._prepare_specific = lru_cache(maxsize=_SPECIFIC_CACHE_SIZE)(self.checker.prepare)
+        # Pure per-clause derivations, memoised for the engine's lifetime.
         self._md_projection_of = lru_cache(maxsize=_CLAUSE_CACHE_SIZE)(_md_projection)
         # A module-level function, not a bound method: caching
         # ``self._method`` would make the engine reference itself, so
@@ -188,8 +172,8 @@ class CoverageEngine:
         """
         return self.builder.problem.database.intern_values(example.values)
 
-    def prepared_ground(self, example: Example) -> PreparedClause:
-        """The example's ground bottom clause, pre-processed for repeated subsumption tests.
+    def prepared_ground(self, example: Example) -> CompiledSpecific:
+        """The example's ground bottom clause, prepared for repeated subsumption tests.
 
         Keyed on the example's *values* only (as an interned id tuple): the
         ground bottom clause is built from the tuples reachable from those
@@ -202,7 +186,7 @@ class CoverageEngine:
             self._ground_cache[key] = self.checker.prepare(self.builder.build(example, ground=True))
         return self._ground_cache[key]
 
-    def prepared_grounds(self, examples: Sequence[Example]) -> list[PreparedClause]:
+    def prepared_grounds(self, examples: Sequence[Example]) -> list[CompiledSpecific]:
         """Prepared ground bottom clauses for many examples, saturating in one batch.
 
         Uncached examples are gathered through the builder's batched
@@ -246,27 +230,25 @@ class CoverageEngine:
     def clear_cache(self) -> None:
         self._ground_cache.clear()
         self._verdict_cache.clear()
-        self._prepare_general.cache_clear()
-        self._prepare_specific.cache_clear()
         self._md_projection_of.cache_clear()
         self._cfd_variants_of.cache_clear()
 
     # ------------------------------------------------------------------ #
     # clause-level coverage
     # ------------------------------------------------------------------ #
-    def covers(self, clause: HornClause | PreparedGeneral, example: Example) -> bool:
+    def covers(self, clause: HornClause | CompiledGeneral, example: Example) -> bool:
         """Coverage of *example* by *clause* under the label-appropriate semantics."""
         ground = self.prepared_ground(example)
         return self._covers_ground(self._as_general(clause), ground, positive=example.positive)
 
     def covers_ground_positive(
-        self, clause: HornClause | PreparedGeneral, ground: HornClause | PreparedClause
+        self, clause: HornClause | CompiledGeneral, ground: HornClause | CompiledSpecific
     ) -> bool:
         """Definition 3.4 via the Section 4.3 procedure."""
         return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=True)
 
     def covers_ground_negative(
-        self, clause: HornClause | PreparedGeneral, ground: HornClause | PreparedClause
+        self, clause: HornClause | CompiledGeneral, ground: HornClause | CompiledSpecific
     ) -> bool:
         """Definition 3.6 / Proposition 4.10."""
         return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=False)
@@ -274,10 +256,10 @@ class CoverageEngine:
     # ------------------------------------------------------------------ #
     # batched evaluation
     # ------------------------------------------------------------------ #
-    def batch_covers(self, clause: HornClause | PreparedGeneral, examples: Sequence[Example]) -> list[bool]:
+    def batch_covers(self, clause: HornClause | CompiledGeneral, examples: Sequence[Example]) -> list[bool]:
         """Coverage verdicts of *clause* for every example, preparing the clause once.
 
-        The general side of the subsumption pipeline (structural split, MD
+        The general side of the subsumption pipeline (compiled form, MD
         projection, CFD-variant expansion) is derived a single time and
         reused for every example; ground bottom clauses come from the
         per-example cache, saturated as one batch.
@@ -294,7 +276,7 @@ class CoverageEngine:
 
     def covered_counts(
         self,
-        clause: HornClause | PreparedGeneral,
+        clause: HornClause | CompiledGeneral,
         positives: Sequence[Example],
         negatives: Sequence[Example],
     ) -> tuple[int, int]:
@@ -318,7 +300,7 @@ class CoverageEngine:
         )
 
     def batch_predicts_positive(
-        self, clauses: Sequence[HornClause | PreparedGeneral], examples: Sequence[Example]
+        self, clauses: Sequence[HornClause | CompiledGeneral], examples: Sequence[Example]
     ) -> list[bool]:
         """Classify many examples against a whole definition, preparing every clause once."""
         prepared_clauses = [self._as_general(clause) for clause in clauses]
@@ -330,19 +312,22 @@ class CoverageEngine:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _covers_ground(self, general: PreparedGeneral, ground: PreparedClause, *, positive: bool) -> bool:
+    def _covers_ground(self, general: CompiledGeneral, ground: CompiledSpecific, *, positive: bool) -> bool:
         """The Section 4.3 pipeline over prepared clause forms, verdict-cached.
 
         The verdict is a pure function of (candidate clause, ground clause,
         label semantics); the covering loop scores surviving candidates
         against the full example set round after round, so settled pairs are
         served from the session-level cache instead of being re-proved.
-        Every clause-level derivation goes through the engine's LRU caches.
         """
-        # HornClause equality folds body-order variants; that is consistent
-        # here because the prepared-clause LRU caches (and the ground cache)
-        # fold them the same way, so an order-variant clause is proved
-        # through — and cached under — the same prepared form either way.
+        # The key's HornClause equality folds body-order variants, while
+        # compiled forms do not: an order variant is proved through its own
+        # form.  The verdict is order-free all the same — subsumption asks
+        # whether a witness exists, and reordering a body reorders the
+        # search, not its answer — so the variants share one cache entry.
+        # Only an exhausted step budget could tell them apart; an exhausted
+        # search concedes the sound "not subsumed", and the entry keeps the
+        # verdict of whichever variant was proved first.
         key = (general.clause, ground.clause, positive)
         cached = self._verdict_cache.get(key)
         if cached is None:
@@ -356,7 +341,7 @@ class CoverageEngine:
                 self._verdict_cache[key] = cached
         return cached
 
-    def _prove_ground(self, general: PreparedGeneral, ground: PreparedClause, *, positive: bool) -> bool:
+    def _prove_ground(self, general: CompiledGeneral, ground: CompiledSpecific, *, positive: bool) -> bool:
         checker = self.checker
         if checker.subsumes(general, ground).subsumes:
             return True
@@ -365,19 +350,19 @@ class CoverageEngine:
         if not _has_cfd_repairs(clause) and not _has_cfd_repairs(ground_clause):
             return False
         if positive:
-            clause_md = self._prepare_general(self._md_projection_of(clause))
-            ground_md = self._prepare_specific(self._md_projection_of(ground_clause))
+            clause_md = checker.prepare_general(self._md_projection_of(clause))
+            ground_md = checker.prepare(self._md_projection_of(ground_clause))
             if not checker.subsumes(clause_md, ground_md).subsumes:
                 return False
-        clause_variants = [self._prepare_general(v) for v in self._cfd_variants_of(clause)]
-        ground_variants = [self._prepare_specific(v) for v in self._cfd_variants_of(ground_clause)]
+        clause_variants = [checker.prepare_general(v) for v in self._cfd_variants_of(clause)]
+        ground_variants = [checker.prepare(v) for v in self._cfd_variants_of(ground_clause)]
         quantifier = all if positive else any
         return quantifier(
             any(checker.subsumes(cv, gv).subsumes for gv in ground_variants) for cv in clause_variants
         )
 
-    def _as_general(self, clause: HornClause | PreparedGeneral) -> PreparedGeneral:
-        return clause if isinstance(clause, PreparedGeneral) else self._prepare_general(clause)
+    def _as_general(self, clause: HornClause | CompiledGeneral) -> CompiledGeneral:
+        return self.checker.prepare_general(clause) if isinstance(clause, HornClause) else clause
 
-    def _as_specific(self, ground: HornClause | PreparedClause) -> PreparedClause:
-        return ground if isinstance(ground, PreparedClause) else self._prepare_specific(ground)
+    def _as_specific(self, ground: HornClause | CompiledSpecific) -> CompiledSpecific:
+        return self.checker.prepare(ground) if isinstance(ground, HornClause) else ground

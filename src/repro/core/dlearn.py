@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..db.sampling import Sampler
 from ..logic.clauses import Definition, HornClause
 from ..logic.subsumption import SubsumptionChecker
 from .bottom_clause import BottomClauseBuilder
@@ -115,9 +114,7 @@ class LearnedModel:
             if self.config.use_mds
             else {}
         )
-        builder = BottomClauseBuilder(
-            evaluation_problem, self.config, indexes, Sampler(self.config.seed)
-        )
+        builder = BottomClauseBuilder(evaluation_problem, self.config, indexes)
         return CoverageEngine(builder, self.config, SubsumptionChecker())
 
 

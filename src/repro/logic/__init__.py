@@ -23,13 +23,7 @@ from .clauses import Definition, HornClause
 from .compiled import ClauseCompiler, CompiledGeneral, CompiledSpecific, TermInterner
 from .ordering import literal_sort_key, order_clause_body
 from .substitution import Substitution
-from .subsumption import (
-    PreparedClause,
-    PreparedGeneral,
-    SubsumptionChecker,
-    SubsumptionResult,
-    theta_subsumes,
-)
+from .subsumption import SubsumptionChecker, SubsumptionResult, theta_subsumes
 from .terms import (
     Constant,
     Term,
@@ -53,8 +47,6 @@ __all__ = [
     "HornClause",
     "Literal",
     "LiteralKind",
-    "PreparedClause",
-    "PreparedGeneral",
     "Substitution",
     "SubsumptionChecker",
     "SubsumptionResult",

@@ -9,7 +9,7 @@ probe hashes tuples of terms, and every recursion re-derives per-goal data
 from scratch.  This module compiles a clause pair into a flat integer form
 once and runs the same search on arrays:
 
-* a :class:`TermInterner` (shared per learning session, analogous to
+* a :class:`TermInterner` (shared per database preparation, analogous to
   :class:`repro.db.interning.ValueInterner`) maps every term to a dense int
   id, so term equality is machine-int equality;
 * the general clause's variables become *slots* of a fixed-size mutable
@@ -40,15 +40,12 @@ already made it between two reference runs with different limits.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, NewType, Sequence
+from typing import Callable, Iterable, NewType, Sequence, TypeVar
 
 from .atoms import ComparisonOp, Literal, LiteralKind
 from .clauses import HornClause
 from .substitution import Substitution
-from .terms import Term, Variable, is_variable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (subsumption imports us)
-    from .subsumption import PreparedClause, PreparedGeneral
+from .terms import Term, Variable, is_constant, is_variable
 
 __all__ = [
     "TermId",
@@ -74,16 +71,18 @@ _EQ, _SIM, _NEQ = 0, 1, 2
 _OP_CODE = {ComparisonOp.EQ: _EQ, ComparisonOp.SIM: _SIM, ComparisonOp.NEQ: _NEQ}
 _KIND_CODE = {LiteralKind.EQUALITY: _EQ, LiteralKind.SIMILARITY: _SIM, LiteralKind.INEQUALITY: _NEQ}
 
-#: Compiled-form caches are cleared wholesale past this size; one learning
-#: run touches a few hundred distinct clauses, so eviction is a safety valve
-#: for long-lived serving sessions, not a steady-state event.  The cap only
-#: bounds the compiled *forms*: the term and signature dictionaries are
+#: Compiled-form caches are cleared wholesale past this size.  One learning
+#: run touches at most a few hundred distinct clauses per side, and bulk
+#: prediction reuses a ground form only within the batch that built it, so
+#: eviction is a safety valve that bounds the live heap of long-lived
+#: preparations, not a steady-state event.  The cap only bounds the
+#: compiled *forms*: the term and signature dictionaries are
 #: append-only for the compiler's lifetime — ids handed out must stay valid
 #: for every compiled form still in use, exactly like the storage layer's
 #: value interner — so a serving process that keeps meeting fresh constants
 #: should scope its sessions (and with them their compilers) rather than
 #: hold one compiler forever.
-_COMPILE_CACHE_SIZE = 8192
+_COMPILE_CACHE_SIZE = 1024
 
 
 class BudgetExceeded(Exception):
@@ -248,15 +247,17 @@ class CompiledGeneral:
 class CompiledSpecific:
     """Flat integer form of the specific (D) side of subsumption checks.
 
-    Rows are the collapsed structural literals of the prepared clause in
-    index order (so candidate iteration order matches the reference
-    checker's), addressed by a global candidate index; ``canon_of`` folds
-    duplicate collapsed literals onto one id so connectivity checks compare
-    literal identity the way the reference's literal sets do.
+    Rows are the equality-collapsed structural literals of ``clause``
+    grouped by signature in order of first appearance (so candidate
+    iteration order matches the reference checker's), addressed by a global
+    candidate index; ``canon_of`` folds duplicate collapsed literals onto
+    one id so connectivity checks compare literal identity the way the
+    reference's literal sets do.
     """
 
     __slots__ = (
         "terms",
+        "clause",
         "head_key",
         "head_ids",
         "groups",
@@ -274,6 +275,7 @@ class CompiledSpecific:
     # Slots are assigned by ClauseCompiler.compile_specific, not in __init__;
     # the class-level annotations give mypy the attribute types anyway.
     terms: TermInterner
+    clause: HornClause
     head_key: tuple[str, int]
     head_ids: tuple[TermId, ...]
     groups: "dict[int, _Group]"
@@ -296,34 +298,127 @@ def _pair(left: int, right: int) -> tuple[int, int]:
     return (left, right) if left <= right else (right, left)
 
 
-class ClauseCompiler:
-    """Compiles clauses of one learning session into the shared integer plane.
+#: Literal signature: (kind, predicate, arity).
+Signature = tuple[str, str, int]
 
-    Owns the session's :class:`TermInterner` and signature dictionary plus
-    bounded caches of compiled forms, so the covering loop compiles each
-    candidate clause and each ground bottom clause once and replays the flat
-    form for every subsequent check.
+#: Cache key of a compiled form: (head, body tuple); see ClauseCompiler.__init__.
+_ClauseKey = tuple[Literal, tuple[Literal, ...]]
+
+_Form = TypeVar("_Form", CompiledGeneral, CompiledSpecific)
+
+
+class _UnionFind:
+    """Union–find over terms, used to collapse D-side equality literals.
+
+    ``find`` is iterative with full path compression: D-side equality chains
+    grow with the clause (one link per equality literal), so a recursive walk
+    can exhaust Python's recursion limit mid-subsumption on large bottom
+    clauses.  ``union`` of two distinct constants marks the structure
+    ``unsatisfiable`` instead of collapsing them — the body asserts an
+    equality that holds in no model, and merging the constants would let a
+    general clause match literals it cannot actually map onto.
+    """
+
+    def __init__(self) -> None:
+        self._parent: dict[Term, Term] = {}
+        self.unsatisfiable = False
+
+    def find(self, term: Term) -> Term:
+        root = term
+        parent = self._parent.get(root, root)
+        while parent != root:
+            root = parent
+            parent = self._parent.get(root, root)
+        while term != root:
+            next_term = self._parent[term]
+            self._parent[term] = root
+            term = next_term
+        return root
+
+    def mapping(self) -> dict[Term, Term]:
+        """Every known term mapped to its current root (used by clause compilation)."""
+        return {term: self.find(term) for term in list(self._parent)}
+
+    def union(self, left: Term, right: Term) -> None:
+        root_left, root_right = self.find(left), self.find(right)
+        if root_left == root_right:
+            return
+        if is_constant(root_left) and is_constant(root_right):
+            # Two distinct constants asserted equal: the body is unsatisfiable.
+            # Refuse the merge — matching against the uncollapsed terms stays
+            # sound, and the flag lets callers surface the inconsistency.
+            self.unsatisfiable = True
+            return
+        # Prefer constants as representatives so collapsed variables expose
+        # their ground value to constant pre-filtering.
+        if is_constant(root_left):
+            self._parent[root_right] = root_left
+        else:
+            self._parent[root_left] = root_right
+
+
+def _collapse_body(
+    clause: HornClause,
+) -> tuple[_UnionFind, dict[Signature, list[Literal]], set[frozenset[Term]], set[frozenset[Term]]]:
+    """The equality collapse of *clause*'s body, as the specific side of a check sees it.
+
+    Returns the collapse map, the collapsed structural (relation and repair)
+    literals grouped by signature in body order, and the collapsed
+    similarity and inequality term pairs.  If ``D`` asserts ``x = y`` the two
+    terms denote one value in every model of ``D``, so matching against the
+    collapsed clause is sound.
+    """
+    collapse = _UnionFind()
+    for literal in clause.body:
+        if literal.kind is LiteralKind.EQUALITY:
+            collapse.union(literal.terms[0], literal.terms[1])
+    canon: dict[Term, Term] = {}
+    index: dict[Signature, list[Literal]] = {}
+    similar: set[frozenset[Term]] = set()
+    unequal: set[frozenset[Term]] = set()
+    for literal in clause.body:
+        if literal.is_relation or literal.is_repair:
+            mapping: dict[Term, Term] = {}
+            for term in literal.all_terms():
+                root = canon.get(term)
+                if root is None:
+                    root = canon[term] = collapse.find(term)
+                mapping[term] = root
+            collapsed = literal.replace_terms(mapping)
+            index.setdefault(collapsed.signature(), []).append(collapsed)
+        elif literal.kind is LiteralKind.SIMILARITY:
+            similar.add(frozenset((collapse.find(literal.terms[0]), collapse.find(literal.terms[1]))))
+        elif literal.kind is LiteralKind.INEQUALITY:
+            unequal.add(frozenset((collapse.find(literal.terms[0]), collapse.find(literal.terms[1]))))
+    return collapse, index, similar, unequal
+
+
+class ClauseCompiler:
+    """Compiles clauses of one database preparation into the shared integer plane.
+
+    Owns the preparation's :class:`TermInterner` and signature dictionary
+    plus the one bounded cache of compiled forms per side:
+    :meth:`general_form` and :meth:`specific_form` compile a clause on its
+    first sight and serve the same form to every later check, in every
+    session over the preparation.  Compiled forms are pure functions of the
+    clause, so database writes never invalidate them.
     """
 
     __slots__ = ("terms", "_sig_ids", "_lock", "_general_cache", "_specific_cache")
 
     def __init__(self) -> None:
         self.terms = TermInterner()
-        self._sig_ids: dict[tuple[str, str, int], int] = {}
+        self._sig_ids: dict[Signature, int] = {}
         self._lock = threading.Lock()
         # Cache keys are (head, body-tuple), NOT the clause: HornClause
         # equality ignores body order and duplicates, but compiled forms are
         # order-sensitive — retained_generalization processes literals in
         # body order and candidate rows follow it — so order-variant clauses
         # must not share a compiled form.
-        self._general_cache: dict[tuple[Literal, tuple[Literal, ...]], CompiledGeneral] = {}
-        self._specific_cache: dict[tuple[Literal, tuple[Literal, ...]], CompiledSpecific] = {}
+        self._general_cache: dict[_ClauseKey, CompiledGeneral] = {}
+        self._specific_cache: dict[_ClauseKey, CompiledSpecific] = {}
 
-    @staticmethod
-    def _cache_key(clause: HornClause) -> tuple[Literal, tuple[Literal, ...]]:
-        return (clause.head, clause.body)
-
-    def signature_id(self, signature: tuple[str, str, int]) -> int:
+    def signature_id(self, signature: Signature) -> int:
         sid = self._sig_ids.get(signature)
         if sid is None:
             with self._lock:
@@ -339,43 +434,39 @@ class ClauseCompiler:
     # A compiled form belongs to the compiler whose term dictionary it was
     # built over.  Forms hold that dictionary, not the compiler: a back
     # reference would put every cached form in a cycle with the compiler's
-    # caches, and a dropped session's whole compiled plane would then wait
-    # for the cyclic collector instead of being freed at once.
-    def compiled_general_for(self, prepared: "PreparedGeneral") -> CompiledGeneral:
-        compiled = prepared.compiled
-        if compiled is None or compiled.terms is not self.terms:
-            compiled = self.compile_general(prepared.clause)
-            prepared.compiled = compiled
-        return compiled
+    # caches, and a dropped preparation's whole compiled plane would then
+    # wait for the cyclic collector instead of being freed at once.
+    def general_form(self, clause: HornClause) -> CompiledGeneral:
+        """The compiled general (C) side of *clause*, compiled on first sight."""
+        return self._cached(self._general_cache, clause, self.compile_general)
 
-    def compiled_specific_for(self, prepared: "PreparedClause") -> CompiledSpecific:
-        compiled = prepared.compiled
-        if compiled is None or compiled.terms is not self.terms:
-            key = self._cache_key(prepared.clause)
-            compiled = self._specific_cache.get(key)
-            if compiled is None:
-                compiled = self.compile_specific(prepared)
-                # The compiler is shared by every session over one database
-                # preparation; eviction (check, clear, insert) stays atomic
-                # under its lock.  A racing duplicate compile would be fine —
-                # forms are pure — but a clear interleaving with an insert
-                # must not lose the entry.
-                with self._lock:
-                    if len(self._specific_cache) >= _COMPILE_CACHE_SIZE:
-                        self._specific_cache.clear()
-                    self._specific_cache[key] = compiled
-            prepared.compiled = compiled
-        return compiled
+    def specific_form(self, clause: HornClause) -> CompiledSpecific:
+        """The compiled specific (D) side of *clause*, compiled on first sight."""
+        return self._cached(self._specific_cache, clause, self.compile_specific)
+
+    def _cached(
+        self, cache: dict[_ClauseKey, _Form], clause: HornClause, compile_form: Callable[[HornClause], _Form]
+    ) -> _Form:
+        key = (clause.head, clause.body)
+        form = cache.get(key)
+        if form is None:
+            form = compile_form(clause)
+            # The compiler is shared by every session over one database
+            # preparation; eviction (check, clear, insert) stays atomic
+            # under its lock.  A racing duplicate compile would be fine —
+            # forms are pure — but a clear interleaving with an insert
+            # must not lose the entry.
+            with self._lock:
+                if len(cache) >= _COMPILE_CACHE_SIZE:
+                    cache.clear()
+                cache[key] = form
+        return form
 
     # ------------------------------------------------------------------ #
     # general-side compilation
     # ------------------------------------------------------------------ #
     def compile_general(self, clause: HornClause) -> CompiledGeneral:
-        key = self._cache_key(clause)
-        cached = self._general_cache.get(key)
-        if cached is not None:
-            return cached
-
+        """Compile *clause* as the general side (uncached; see :meth:`general_form`)."""
         slots: dict[Variable, int] = {}
 
         def code_of(term: Term) -> int:
@@ -433,13 +524,6 @@ class ClauseCompiler:
         compiled.comparison_literals = tuple(comp_literals)
         compiled.body_entries = tuple(body_entries)
         self._decompose(compiled)
-
-        # See compiled_specific_for: the eviction-and-insert pair holds the
-        # compiler lock.
-        with self._lock:
-            if len(self._general_cache) >= _COMPILE_CACHE_SIZE:
-                self._general_cache.clear()
-            self._general_cache[key] = compiled
         return compiled
 
     def _decompose(self, compiled: CompiledGeneral) -> None:
@@ -499,12 +583,19 @@ class ClauseCompiler:
     # ------------------------------------------------------------------ #
     # specific-side compilation
     # ------------------------------------------------------------------ #
-    def compile_specific(self, prepared: "PreparedClause") -> CompiledSpecific:
+    def compile_specific(self, clause: HornClause) -> CompiledSpecific:
+        """Compile *clause* as the specific side (uncached; see :meth:`specific_form`).
+
+        The body's equality literals are collapsed first (see
+        :func:`_collapse_body`); the rows are the collapsed structural
+        literals.
+        """
+        collapse, index, similar, unequal = _collapse_body(clause)
         intern = self.terms.intern
         compiled = CompiledSpecific()
         compiled.terms = self.terms
-        head = prepared.clause.head
-        collapse = prepared.collapse
+        compiled.clause = clause
+        head = clause.head
         compiled.head_key = (head.predicate, head.arity)
         compiled.head_ids = tuple(intern(collapse.find(t)) for t in head.terms)
 
@@ -514,7 +605,7 @@ class ClauseCompiler:
         canon_of: list[int] = []
         canon_ids: dict[Literal, int] = {}
         groups: dict[int, _Group] = {}
-        for signature, literals in prepared.index.items():
+        for signature, literals in index.items():
             base = len(rows)
             arity = signature[2]
             pos_masks: list[dict[int, int]] = [{} for _ in range(arity)]
@@ -544,8 +635,8 @@ class ClauseCompiler:
         compiled.collapse_ids = {
             intern(term): intern(root) for term, root in collapse.mapping().items()
         }
-        compiled.similar = self._pair_set(prepared.similar)
-        compiled.unequal = self._pair_set(prepared.unequal)
+        compiled.similar = self._pair_set(similar)
+        compiled.unequal = self._pair_set(unequal)
 
         distinct = list(canon_ids)
         compiled.has_repairs = any(literal.is_repair for literal in distinct)

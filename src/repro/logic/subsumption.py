@@ -36,17 +36,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .atoms import Literal, LiteralKind
+from .atoms import Literal
 from .clauses import HornClause
 from .compiled import BudgetExceeded, ClauseCompiler, CompiledGeneral, CompiledSearch, CompiledSpecific
 from .substitution import Substitution
-from .terms import Term, is_constant
 
 __all__ = [
-    "PreparedClause",
-    "PreparedGeneral",
     "SearchStats",
     "SubsumptionChecker",
     "SubsumptionResult",
@@ -69,52 +65,6 @@ class SubsumptionResult:
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.subsumes
-
-
-@dataclass
-class PreparedClause:
-    """Pre-processed 'specific' side of subsumption checks (see :meth:`SubsumptionChecker.prepare`)."""
-
-    clause: HornClause
-    collapse: "_UnionFind"
-    index: dict[tuple[str, str, int], list[Literal]]
-    similar: set[frozenset[Term]]
-    unequal: set[frozenset[Term]]
-    #: Lazily attached integer-plane form (:class:`repro.logic.compiled.CompiledSpecific`);
-    #: only valid for the :class:`~repro.logic.compiled.ClauseCompiler` that built it.
-    compiled: object | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def body_unsatisfiable(self) -> bool:
-        """Whether the body asserts the equality of two distinct constants.
-
-        Such a body is false in every model, so no witnessing substitution can
-        rely on the offending equality; the collapse map refuses to merge the
-        constants and matching proceeds on the uncollapsed (sound) structure.
-        """
-        return self.collapse.unsatisfiable
-
-
-@dataclass
-class PreparedGeneral:
-    """Pre-processed 'general' side of subsumption checks (see :meth:`SubsumptionChecker.prepare_general`).
-
-    Coverage testing subsumes the same candidate clause against the prepared
-    ground bottom clause of every example; preparing the general (C) side
-    once — the structural/comparison split of the body and the head seed —
-    avoids repeating that O(|C|) work on every example.  The per-literal
-    signatures the candidate index is probed with are memoised on the
-    literals themselves (:meth:`repro.logic.atoms.Literal.signature`), so
-    they need no clause-level storage.
-    """
-
-    clause: HornClause
-    structural: tuple[Literal, ...]
-    comparisons: tuple[Literal, ...]
-    head: Literal
-    #: Lazily attached integer-plane form (:class:`repro.logic.compiled.CompiledGeneral`);
-    #: only valid for the :class:`~repro.logic.compiled.ClauseCompiler` that built it.
-    compiled: object | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -144,56 +94,6 @@ class SearchStats:
         self.checks = self.retries = self.retry_exhausted = self.exhausted = 0
 
 
-class _UnionFind:
-    """Union–find over terms, used to collapse D-side equality literals.
-
-    ``find`` is iterative with full path compression: D-side equality chains
-    grow with the clause (one link per equality literal), so a recursive walk
-    can exhaust Python's recursion limit mid-subsumption on large bottom
-    clauses.  ``union`` of two distinct constants marks the structure
-    ``unsatisfiable`` instead of collapsing them — the body asserts an
-    equality that holds in no model, and merging the constants would let a
-    general clause match literals it cannot actually map onto.
-    """
-
-    def __init__(self) -> None:
-        self._parent: dict[Term, Term] = {}
-        self.unsatisfiable = False
-
-    def find(self, term: Term) -> Term:
-        root = term
-        parent = self._parent.get(root, root)
-        while parent != root:
-            root = parent
-            parent = self._parent.get(root, root)
-        while term != root:
-            next_term = self._parent[term]
-            self._parent[term] = root
-            term = next_term
-        return root
-
-    def mapping(self) -> dict[Term, Term]:
-        """Every known term mapped to its current root (used by clause compilation)."""
-        return {term: self.find(term) for term in list(self._parent)}
-
-    def union(self, left: Term, right: Term) -> None:
-        root_left, root_right = self.find(left), self.find(right)
-        if root_left == root_right:
-            return
-        if is_constant(root_left) and is_constant(root_right):
-            # Two distinct constants asserted equal: the body is unsatisfiable.
-            # Refuse the merge — matching against the uncollapsed terms stays
-            # sound, and the flag lets callers surface the inconsistency.
-            self.unsatisfiable = True
-            return
-        # Prefer constants as representatives so collapsed variables expose
-        # their ground value to constant pre-filtering.
-        if is_constant(root_left):
-            self._parent[root_right] = root_left
-        else:
-            self._parent[root_left] = root_right
-
-
 class SubsumptionChecker:
     """Reusable θ-subsumption checker.
 
@@ -203,10 +103,9 @@ class SubsumptionChecker:
     :class:`repro.testing.oracles.ReferenceSubsumptionChecker`.
 
     A single instance is cheap and reusable across many checks, but NOT
-    thread-safe: the lazily installed compiler and the search counters
-    (``stats``) live on the instance, so concurrent searches must each use
-    their own checker (as the per-thread default checker of
-    :func:`theta_subsumes` does).
+    thread-safe: the search counters (``stats``) live on the instance, so
+    concurrent searches must each use their own checker (as the per-thread
+    default checker of :func:`theta_subsumes` does).
 
     Parameters
     ----------
@@ -227,10 +126,10 @@ class SubsumptionChecker:
         is never *wrongly* considered more general).
     compiler:
         The :class:`~repro.logic.compiled.ClauseCompiler` whose term
-        dictionary compiled clause forms are expressed in.  Checkers that
+        dictionary and form caches prepared clauses come from.  Checkers that
         exchange prepared clauses (e.g. the sessions over one database
         preparation) must share one compiler; omitted, a private one is
-        created on first compiled use.
+        created.
     """
 
     def __init__(
@@ -244,72 +143,58 @@ class SubsumptionChecker:
         self.respect_repair_connectivity = respect_repair_connectivity
         self.condition_subset = condition_subset
         self.max_steps = max_steps
-        self.compiler = compiler
+        self.compiler = compiler if compiler is not None else ClauseCompiler()
         self.stats = SearchStats()
-
-    def _compiler(self) -> ClauseCompiler:
-        if self.compiler is None:
-            self.compiler = ClauseCompiler()
-        return self.compiler
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def prepare(self, specific: HornClause) -> "PreparedClause":
-        """Pre-process the specific (D) side of subsumption checks.
+    def prepare(self, specific: HornClause) -> CompiledSpecific:
+        """The compiled specific (D) side of *specific*, for repeated subsumption tests.
 
         Coverage testing subsumes many candidate clauses against the same
-        ground bottom clause; preparing it once (equality collapse, signature
-        index, similarity/inequality pair sets) and reusing the result avoids
-        repeating the O(|D|) preprocessing on every call.
+        ground bottom clause.  The compiler collapses the body's equalities,
+        groups the literals by signature and interns them once per distinct
+        ``(head, body)``; every later call, from any checker sharing the
+        compiler, is served the same form from its cache.
         """
-        collapse = self._collapse_map(specific)
-        d_literals = self._collapsed_structural_literals(specific, collapse)
-        return PreparedClause(
-            clause=specific,
-            collapse=collapse,
-            index=self._index_by_signature(d_literals),
-            similar=self._collapsed_pairs(specific, LiteralKind.SIMILARITY, collapse),
-            unequal=self._collapsed_pairs(specific, LiteralKind.INEQUALITY, collapse),
-        )
+        return self.compiler.specific_form(specific)
 
-    def prepare_general(self, general: HornClause) -> "PreparedGeneral":
-        """Pre-process the general (C) side of subsumption checks.
+    def prepare_general(self, general: HornClause) -> CompiledGeneral:
+        """The compiled general (C) side of *general*, for repeated subsumption tests.
 
-        The structural/comparison split of the body is a pure function of the
-        clause; computing it once lets :meth:`subsumes` check one candidate
-        clause against many prepared ground clauses without re-deriving it
-        per call.
+        One candidate clause is checked against many ground clauses; like
+        :meth:`prepare`, the form is compiled once per distinct
+        ``(head, body)`` and served from the compiler's cache.
         """
-        return PreparedGeneral(
-            clause=general,
-            structural=tuple(lit for lit in general.body if lit.is_relation or lit.is_repair),
-            comparisons=tuple(lit for lit in general.body if lit.is_comparison),
-            head=general.head,
-        )
+        return self.compiler.general_form(general)
 
-    def _as_prepared(self, specific: "HornClause | PreparedClause") -> "PreparedClause":
-        return specific if isinstance(specific, PreparedClause) else self.prepare(specific)
+    def _as_specific(self, specific: HornClause | CompiledSpecific) -> CompiledSpecific:
+        if isinstance(specific, CompiledSpecific):
+            if specific.terms is self.compiler.terms:
+                return specific
+            specific = specific.clause  # built by another compiler: recompile here
+        return self.prepare(specific)
 
-    def _as_prepared_general(self, general: "HornClause | PreparedGeneral") -> "PreparedGeneral":
-        return general if isinstance(general, PreparedGeneral) else self.prepare_general(general)
+    def _as_general(self, general: HornClause | CompiledGeneral) -> CompiledGeneral:
+        if isinstance(general, CompiledGeneral):
+            if general.terms is self.compiler.terms:
+                return general
+            general = general.clause  # built by another compiler: recompile here
+        return self.prepare_general(general)
 
     def subsumes(
-        self, general: "HornClause | PreparedGeneral", specific: "HornClause | PreparedClause"
+        self, general: HornClause | CompiledGeneral, specific: HornClause | CompiledSpecific
     ) -> SubsumptionResult:
         """Check whether *general* θ-subsumes *specific*.
 
-        Both sides accept pre-processed forms: pass a :class:`PreparedGeneral`
-        for the general side and/or a :class:`PreparedClause` for the specific
-        side when the same clause participates in many checks.  The check
-        runs on the integer plane; the prepared forms carry their compiled
-        counterparts, so repeated checks over the same clause replay the flat
-        form.
+        Either side may be a clause or its prepared form
+        (:meth:`prepare_general` / :meth:`prepare`); a clause is prepared
+        through the compiler's cache, and a form built by another compiler
+        is recompiled from its ``clause``.  The check runs on the integer
+        plane.
         """
-        compiler = self._compiler()
-        cg = compiler.compiled_general_for(self._as_prepared_general(general))
-        cs = compiler.compiled_specific_for(self._as_prepared(specific))
-        search = self._run_compiled(cg, cs)
+        search = self._run_compiled(self._as_general(general), self._as_specific(specific))
         if search is None:
             return SubsumptionResult(False)
         return SubsumptionResult(True, search.witness_theta(), search.witness_mapped())
@@ -351,7 +236,7 @@ class SubsumptionChecker:
         return search if found else None
 
     def retained_generalization(
-        self, general: HornClause, specific: "HornClause | PreparedClause"
+        self, general: HornClause, specific: HornClause | CompiledSpecific
     ) -> list[Literal]:
         """Return the body literals of *general* that can be retained while subsuming *specific*.
 
@@ -374,9 +259,8 @@ class SubsumptionChecker:
         the compiled plane yields the same retained list as the reference
         loop — the property suite asserts this.
         """
-        compiler = self._compiler()
-        cg = compiler.compile_general(general)
-        cs = compiler.compiled_specific_for(self._as_prepared(specific))
+        cg = self.compiler.general_form(general)
+        cs = self._as_specific(specific)
         # The greedy scans get their own max_steps-sized budget for the whole
         # loop (separate from each backtracking retry's budget, which resets
         # per retry exactly like the reference's).  Exhausting it drops the
@@ -454,7 +338,7 @@ class SubsumptionChecker:
         return kept
 
     def _compiled_retry(
-        self, cg, cs, goal_idxs: list[int], comp_idxs: list[int]
+        self, cg: CompiledGeneral, cs: CompiledSpecific, goal_idxs: list[int], comp_idxs: list[int]
     ) -> CompiledSearch | None:
         """Full backtracking search used when the greedy witness extension fails.
 
@@ -473,54 +357,10 @@ class SubsumptionChecker:
             self.stats.exhausted += 1
         return None
 
-    # ------------------------------------------------------------------ #
-    # preprocessing helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _collapse_map(clause: HornClause) -> _UnionFind:
-        uf = _UnionFind()
-        for literal in clause.body:
-            if literal.kind is LiteralKind.EQUALITY:
-                uf.union(literal.terms[0], literal.terms[1])
-        return uf
-
-    def _collapsed_structural_literals(self, clause: HornClause, collapse: _UnionFind) -> list[Literal]:
-        mapping_cache: dict[Term, Term] = {}
-
-        def canon(term: Term) -> Term:
-            if term not in mapping_cache:
-                mapping_cache[term] = collapse.find(term)
-            return mapping_cache[term]
-
-        literals: list[Literal] = []
-        for literal in clause.body:
-            if literal.is_relation or literal.is_repair:
-                mapping = {t: canon(t) for t in literal.all_terms()}
-                literals.append(literal.replace_terms(mapping))
-        return literals
-
-    @staticmethod
-    def _collapsed_pairs(clause: HornClause, kind: LiteralKind, collapse: _UnionFind) -> set[frozenset[Term]]:
-        pairs: set[frozenset[Term]] = set()
-        for literal in clause.body:
-            if literal.kind is kind:
-                left = collapse.find(literal.terms[0])
-                right = collapse.find(literal.terms[1])
-                pairs.add(frozenset((left, right)))
-        return pairs
-
-    @staticmethod
-    def _index_by_signature(literals: Sequence[Literal]) -> dict[tuple[str, str, int], list[Literal]]:
-        index: dict[tuple[str, str, int], list[Literal]] = {}
-        for literal in literals:
-            index.setdefault(literal.signature(), []).append(literal)
-        return index
-
 
 #: Default checkers for the convenience wrapper are per-thread: a checker's
-#: lazily installed compiler and search counters are instance state, so one
-#: shared module-level instance would race when callers on two threads use
-#: the wrapper.
+#: search counters are instance state, so one shared module-level instance
+#: would race when callers on two threads use the wrapper.
 _DEFAULT_CHECKERS = threading.local()
 
 

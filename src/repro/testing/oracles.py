@@ -8,6 +8,10 @@ production path against it:
   engine (backtracking over :class:`~repro.logic.atoms.Literal` and
   :class:`~repro.logic.substitution.Substitution` objects) behind the
   compiled integer plane of :class:`~repro.logic.subsumption.SubsumptionChecker`;
+  its prepared forms :class:`PreparedClause` / :class:`PreparedGeneral` are
+  the object-level counterparts of the compiled forms
+  (:class:`~repro.logic.compiled.CompiledSpecific` /
+  :class:`~repro.logic.compiled.CompiledGeneral`), rebuilt on every call;
   :func:`install_reference_subsumption` re-wires a learning session onto it;
 * :func:`covers_serial` / :func:`covered_counts_serial` — the uncached,
   one-call-at-a-time Section 4.3 coverage pipeline behind the cached,
@@ -26,6 +30,7 @@ the cost profile differs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,18 +44,14 @@ from ..db.relation import RelationInstance
 from ..db.sampling import Sampler
 from ..logic.atoms import Comparison, Condition, Literal, LiteralKind
 from ..logic.clauses import HornClause
-from ..logic.compiled import BudgetExceeded
-from ..logic.subsumption import (
-    PreparedClause,
-    PreparedGeneral,
-    SubsumptionChecker,
-    SubsumptionResult,
-    _UnionFind,
-)
+from ..logic.compiled import BudgetExceeded, Signature, _collapse_body, _UnionFind
+from ..logic.subsumption import SubsumptionChecker, SubsumptionResult
 from ..logic.substitution import Substitution
 from ..logic.terms import Term, is_constant, is_variable
 
 __all__ = [
+    "PreparedClause",
+    "PreparedGeneral",
     "ReferenceSubsumptionChecker",
     "covered_counts_serial",
     "covers_serial",
@@ -64,18 +65,61 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # θ-subsumption
 # --------------------------------------------------------------------- #
+@dataclass
+class PreparedClause:
+    """Object-level specific (D) side of a check (see :meth:`ReferenceSubsumptionChecker.prepare`).
+
+    The equality collapse of the clause's body: the collapse map, the
+    collapsed structural literals grouped by signature, and the collapsed
+    similarity and inequality term pairs.
+    """
+
+    clause: HornClause
+    collapse: _UnionFind
+    index: dict[Signature, list[Literal]]
+    similar: set[frozenset[Term]]
+    unequal: set[frozenset[Term]]
+
+
+@dataclass
+class PreparedGeneral:
+    """Object-level general (C) side of a check: the structural/comparison split of the body."""
+
+    clause: HornClause
+    structural: tuple[Literal, ...]
+    comparisons: tuple[Literal, ...]
+    head: Literal
+
+
 class ReferenceSubsumptionChecker(SubsumptionChecker):
     """The pure-Python object-level θ-subsumption engine (the oracle).
 
-    Same parameters and preparation as
-    :class:`~repro.logic.subsumption.SubsumptionChecker`, but
-    :meth:`subsumes` and :meth:`retained_generalization` run a backtracking
-    search over the prepared clause's literal objects instead of the
-    compiled integer plane.  The budget valve charges the same steps, so
-    budget-capped verdicts and retained lists agree between the engines.
+    Same parameters as :class:`~repro.logic.subsumption.SubsumptionChecker`,
+    but :meth:`prepare` and :meth:`prepare_general` build object-level forms
+    (uncached), and :meth:`subsumes` and :meth:`retained_generalization` run
+    a backtracking search over the prepared clause's literal objects instead
+    of the compiled integer plane.  The budget valve charges the same steps,
+    so budget-capped verdicts and retained lists agree between the engines.
     """
 
-    def _seed_theta(self, head: Literal, prepared: "PreparedClause") -> Substitution | None:
+    def prepare(self, specific: HornClause) -> PreparedClause:  # type: ignore[override]
+        return PreparedClause(specific, *_collapse_body(specific))
+
+    def prepare_general(self, general: HornClause) -> PreparedGeneral:  # type: ignore[override]
+        return PreparedGeneral(
+            clause=general,
+            structural=tuple(lit for lit in general.body if lit.is_relation or lit.is_repair),
+            comparisons=tuple(lit for lit in general.body if lit.is_comparison),
+            head=general.head,
+        )
+
+    def _as_prepared(self, specific: HornClause | PreparedClause) -> PreparedClause:
+        return specific if isinstance(specific, PreparedClause) else self.prepare(specific)
+
+    def _as_prepared_general(self, general: HornClause | PreparedGeneral) -> PreparedGeneral:
+        return general if isinstance(general, PreparedGeneral) else self.prepare_general(general)
+
+    def _seed_theta(self, head: Literal, prepared: PreparedClause) -> Substitution | None:
         if head.predicate != prepared.clause.head.predicate or head.arity != prepared.clause.head.arity:
             return None
         return self._match_terms(
@@ -84,8 +128,8 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
             Substitution(),
         )
 
-    def subsumes(
-        self, general: "HornClause | PreparedGeneral", specific: "HornClause | PreparedClause"
+    def subsumes(  # type: ignore[override]
+        self, general: HornClause | PreparedGeneral, specific: HornClause | PreparedClause
     ) -> SubsumptionResult:
         prepared_general = self._as_prepared_general(general)
         prepared = self._as_prepared(specific)
@@ -140,8 +184,8 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
 
         return SubsumptionResult(True, theta, mapped)
 
-    def retained_generalization(
-        self, general: HornClause, specific: "HornClause | PreparedClause"
+    def retained_generalization(  # type: ignore[override]
+        self, general: HornClause, specific: HornClause | PreparedClause
     ) -> list[Literal]:
         prepared = self._as_prepared(specific)
         theta = self._seed_theta(general.head, prepared)
@@ -235,7 +279,7 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
     def _retry_with_backtracking(
         self,
         general: HornClause,
-        prepared: "PreparedClause",
+        prepared: PreparedClause,
         structural: list[Literal],
         comparisons: list[Literal],
     ) -> tuple[Substitution, dict[Literal, Literal]] | None:
@@ -318,7 +362,7 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
         goals: Sequence[Literal],
         theta: Substitution,
         assignment: dict[Literal, Literal],
-        d_index: dict[tuple[str, str, int], list[Literal]],
+        d_index: dict[Signature, list[Literal]],
         collapse: _UnionFind,
         comparisons: Sequence[Literal],
         d_similar: set[frozenset[Term]],

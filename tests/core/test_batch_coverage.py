@@ -4,7 +4,8 @@ The batched path (``batch_covers`` / ``covered_counts`` /
 ``batch_predicts_positive``) must return exactly the verdicts of the serial
 reference path (:func:`repro.testing.oracles.covers_serial`) for every
 (clause, example) pair, and the engine's clause-level caches must behave like
-caches (identity on repeat, cleared by ``clear_cache``).
+caches (identity on repeat, cleared by ``clear_cache``; the compiled forms
+live in the compiler's cache and outlive it).
 
 The Hypothesis section at the bottom widens the check beyond hand-picked
 clauses: batched and serial verdicts must agree on *randomly generated*
@@ -22,9 +23,10 @@ from hypothesis import strategies as st
 
 from repro.constraints import ConditionalFunctionalDependency, MatchingDependency
 from repro.core import BottomClauseBuilder, CoverageEngine, DLearnConfig, Example, ExampleSet, LearningProblem
-from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSchema, Sampler
+from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSchema
 from repro.logic import Constant, HornClause, Variable, relation_literal, theta_subsumes
-from repro.logic.subsumption import PreparedGeneral, SubsumptionChecker
+from repro.logic.compiled import CompiledGeneral
+from repro.logic.subsumption import SubsumptionChecker
 from repro.similarity import SimilarityOperator
 from repro.testing.oracles import covered_counts_serial, covers_serial
 
@@ -53,7 +55,7 @@ def make_engine(problem, config) -> CoverageEngine:
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, indexes)
     return CoverageEngine(builder, config, SubsumptionChecker())
 
 
@@ -115,9 +117,11 @@ class TestBatchedMatchesSerial:
 class TestClauseCaches:
     def test_prepared_general_is_cached_and_accepted(self, engine):
         clause = candidate_clauses(engine)[0]
-        prepared = engine._prepare_general(clause)
-        assert isinstance(prepared, PreparedGeneral)
-        assert engine._prepare_general(clause) is prepared
+        prepared = engine.checker.prepare_general(clause)
+        assert isinstance(prepared, CompiledGeneral)
+        assert prepared.clause is clause
+        # Served from the compiler's cache, keyed on (head, body).
+        assert engine.checker.prepare_general(HornClause(clause.head, clause.body)) is prepared
         # The prepared object is accepted anywhere a clause is.
         assert engine.batch_covers(prepared, ALL_EXAMPLES) == engine.batch_covers(clause, ALL_EXAMPLES)
 
@@ -128,11 +132,21 @@ class TestClauseCaches:
 
     def test_clear_cache_resets_everything(self, engine):
         clause = candidate_clauses(engine)[0]
-        prepared = engine._prepare_general(clause)
+        prepared = engine.checker.prepare_general(clause)
         ground = engine.prepared_ground(POS_M1)
+        engine.covers(clause, POS_M1)
+        bottom = engine.builder.build(POS_M1, ground=False)
+        engine._md_projection_of(bottom)
+        engine._cfd_variants_of(bottom)
         engine.clear_cache()
-        assert engine._prepare_general(clause) is not prepared
-        assert engine.prepared_ground(POS_M1) is not ground
+        assert not engine._ground_cache and not engine._verdict_cache
+        assert engine._md_projection_of.cache_info().currsize == 0
+        assert engine._cfd_variants_of.cache_info().currsize == 0
+        # Compiled forms are pure functions of their clause and belong to the
+        # compiler, not the engine: the rebuilt ground clause and the
+        # candidate are served the forms compiled before the clear.
+        assert engine.checker.prepare_general(clause) is prepared
+        assert engine.prepared_ground(POS_M1) is ground
 
 
 class TestGroundCacheKey:
@@ -214,7 +228,7 @@ def _property_engine() -> CoverageEngine:
         seed=0,
     )
     indexes = problem.build_similarity_indexes(top_k=config.top_k_matches, threshold=config.similarity_threshold)
-    builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, indexes)
     return CoverageEngine(builder, config, SubsumptionChecker())
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BottomClauseBuilder, Example
-from repro.db import Sampler
 from repro.logic import Constant, LiteralKind
 
 
@@ -14,7 +13,7 @@ def builder(movie_problem, fast_config) -> BottomClauseBuilder:
     indexes = movie_problem.build_similarity_indexes(
         top_k=fast_config.top_k_matches, threshold=fast_config.similarity_threshold
     )
-    return BottomClauseBuilder(movie_problem, fast_config, indexes, Sampler(0))
+    return BottomClauseBuilder(movie_problem, fast_config, indexes)
 
 
 POSITIVE = Example(("m1",), True)
@@ -42,8 +41,8 @@ class TestRelevantTupleGathering:
     def test_iteration_depth_controls_reach(self, movie_problem, fast_config):
         shallow_config = fast_config.but(iterations=1)
         indexes = movie_problem.build_similarity_indexes(top_k=2, threshold=0.6)
-        shallow = BottomClauseBuilder(movie_problem, shallow_config, indexes, Sampler(0))
-        deep = BottomClauseBuilder(movie_problem, fast_config, indexes, Sampler(0))
+        shallow = BottomClauseBuilder(movie_problem, shallow_config, indexes)
+        deep = BottomClauseBuilder(movie_problem, fast_config, indexes)
         shallow_relations = {t.relation for t in shallow.gather_relevant(POSITIVE).tuples}
         deep_relations = {t.relation for t in deep.gather_relevant(POSITIVE).tuples}
         # bom_gross is only reachable after the bom_movies tuple was reached,
@@ -53,18 +52,18 @@ class TestRelevantTupleGathering:
 
     def test_source_restriction(self, movie_problem, fast_config):
         restricted_config = fast_config.but(use_mds=False, restrict_sources=frozenset({"imdb"}))
-        builder = BottomClauseBuilder(movie_problem, restricted_config, {}, Sampler(0))
+        builder = BottomClauseBuilder(movie_problem, restricted_config, {})
         relations = {t.relation for t in builder.gather_relevant(POSITIVE).tuples}
         assert relations and all(not name.startswith("bom_") for name in relations)
 
     def test_no_mds_means_no_similarity_evidence(self, movie_problem, fast_config):
-        builder = BottomClauseBuilder(movie_problem, fast_config.but(use_mds=False), {}, Sampler(0))
+        builder = BottomClauseBuilder(movie_problem, fast_config.but(use_mds=False), {})
         relevant = builder.gather_relevant(POSITIVE)
         assert relevant.similarity_evidence == []
 
     def test_exact_match_only_mode(self, movie_problem, fast_config):
         indexes = movie_problem.build_similarity_indexes(top_k=2, threshold=0.6)
-        builder = BottomClauseBuilder(movie_problem, fast_config.but(exact_match_only=True), indexes, Sampler(0))
+        builder = BottomClauseBuilder(movie_problem, fast_config.but(exact_match_only=True), indexes)
         relevant = builder.gather_relevant(POSITIVE)
         assert relevant.similarity_evidence == []
         # The heterogeneous BOM titles cannot be reached by exact matching.
@@ -107,8 +106,8 @@ class TestClauseConstruction:
 
     def test_sample_size_bounds_literal_count(self, movie_problem, fast_config):
         indexes = movie_problem.build_similarity_indexes(top_k=2, threshold=0.6)
-        small = BottomClauseBuilder(movie_problem, fast_config.but(sample_size=1), indexes, Sampler(0))
-        large = BottomClauseBuilder(movie_problem, fast_config.but(sample_size=8), indexes, Sampler(0))
+        small = BottomClauseBuilder(movie_problem, fast_config.but(sample_size=1), indexes)
+        large = BottomClauseBuilder(movie_problem, fast_config.but(sample_size=8), indexes)
         assert len(small.build(POSITIVE).body) <= len(large.build(POSITIVE).body)
 
 
@@ -118,7 +117,7 @@ class TestCFDRepairLiterals:
         dirty = movie_problem.database.with_rows({"mov2genres": [("m1", "horror")]})
         problem = movie_problem.with_database(dirty)
         indexes = problem.build_similarity_indexes(top_k=2, threshold=0.6)
-        builder = BottomClauseBuilder(problem, fast_config, indexes, Sampler(0))
+        builder = BottomClauseBuilder(problem, fast_config, indexes)
         clause = builder.build(POSITIVE)
         cfd_repairs = [lit for lit in clause.repair_literals if lit.provenance.startswith("cfd:")]
         assert cfd_repairs
@@ -127,7 +126,7 @@ class TestCFDRepairLiterals:
     def test_no_cfd_literals_when_disabled(self, movie_problem, fast_config):
         dirty = movie_problem.database.with_rows({"mov2genres": [("m1", "horror")]})
         problem = movie_problem.with_database(dirty)
-        builder = BottomClauseBuilder(problem, fast_config.but(use_cfds=False), {}, Sampler(0))
+        builder = BottomClauseBuilder(problem, fast_config.but(use_cfds=False), {})
         clause = builder.build(POSITIVE)
         assert not any((lit.provenance or "").startswith("cfd:") for lit in clause.repair_literals)
 
@@ -136,7 +135,7 @@ class TestCFDRepairLiterals:
             {"mov2genres": [("m1", f"genre{i}") for i in range(6)]}
         )
         problem = movie_problem.with_database(dirty)
-        builder = BottomClauseBuilder(problem, fast_config.but(max_repair_groups_per_clause=2), {}, Sampler(0))
+        builder = BottomClauseBuilder(problem, fast_config.but(max_repair_groups_per_clause=2), {})
         clause = builder.build(POSITIVE)
         violations = {
             lit.provenance.rsplit(":", 1)[0]

@@ -7,7 +7,7 @@ import pytest
 from repro.core import BottomClauseBuilder, CoverageEngine, Example, Generalizer
 from repro.core.scoring import ClauseStats, score_clause
 from repro.db import Sampler
-from repro.logic import Constant, HornClause, Variable, relation_literal
+from repro.logic import ClauseCompiler, Constant, HornClause, Variable, relation_literal
 from repro.logic.subsumption import SubsumptionChecker
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -23,7 +23,7 @@ def engine(movie_problem, fast_config) -> CoverageEngine:
     indexes = movie_problem.build_similarity_indexes(
         top_k=fast_config.top_k_matches, threshold=fast_config.similarity_threshold
     )
-    builder = BottomClauseBuilder(movie_problem, fast_config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(movie_problem, fast_config, indexes)
     return CoverageEngine(builder, fast_config, SubsumptionChecker())
 
 
@@ -69,12 +69,25 @@ class TestCoverage:
         assert engine.definition_covers(clauses, POS_M1)
         assert engine.predicts_positive(clauses, POS_M1)
 
-    def test_ground_clause_cache(self, engine):
+    def test_ground_clause_cache(self, engine, monkeypatch):
         first = engine.prepared_ground(POS_M1)
         second = engine.prepared_ground(POS_M1)
         assert first is second
+        assert first.clause == engine.builder.build(POS_M1, ground=True)
         engine.clear_cache()
-        assert engine.prepared_ground(POS_M1) is not first
+        assert not engine._ground_cache
+        # The ground clause is rebuilt, and its compiled form is served from
+        # the compiler's cache instead of being compiled again.
+        compiles = []
+        original = ClauseCompiler.compile_specific
+
+        def counting(compiler, clause):
+            compiles.append(clause)
+            return original(compiler, clause)
+
+        monkeypatch.setattr(ClauseCompiler, "compile_specific", counting)
+        assert engine.prepared_ground(POS_M1) is first
+        assert compiles == []
 
     def test_clause_using_md_join_covers_through_similarity(self, engine):
         """A clause requiring the BOM gross level only holds through the title MD."""

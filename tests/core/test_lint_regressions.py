@@ -27,7 +27,6 @@ from repro.core.repair_literals import (
     repaired_clauses,
 )
 from repro.core.session import _MdIndexCache
-from repro.db import Sampler
 from repro.logic import HornClause, Variable, VariableFactory, relation_literal
 from repro.logic.compiled import ClauseCompiler
 from repro.logic.subsumption import SubsumptionChecker
@@ -103,7 +102,7 @@ def _make_engine(problem, config) -> CoverageEngine:
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, indexes)
     return CoverageEngine(builder, config, SubsumptionChecker())
 
 

@@ -28,7 +28,6 @@ from repro.db import (
     DatabaseSchema,
     OverlayInstance,
     RelationSchema,
-    Sampler,
 )
 from repro.logic.subsumption import SubsumptionChecker
 
@@ -57,7 +56,7 @@ def tag_database(*, overlay: bool) -> DatabaseInstance:
 
 def tag_engine(problem: LearningProblem) -> CoverageEngine:
     config = DLearnConfig(iterations=1, sample_size=4, top_k_matches=2, generalization_sample=2)
-    builder = BottomClauseBuilder(problem, config, {}, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, {})
     return CoverageEngine(builder, config, SubsumptionChecker())
 
 

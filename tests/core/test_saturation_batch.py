@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession, SaturationCache
-from repro.db import Sampler
 from repro.testing.oracles import install_serial_chase, relevant_serial
 
 
@@ -95,7 +94,7 @@ class TestBuilderFacade:
         indexes = movie_problem.build_similarity_indexes(
             top_k=fast_config.top_k_matches, threshold=fast_config.similarity_threshold
         )
-        builder = BottomClauseBuilder(movie_problem, fast_config, indexes, Sampler(0))
+        builder = BottomClauseBuilder(movie_problem, fast_config, indexes)
         gathered = builder.gather_relevant_many(ALL_EXAMPLES)
         for example, relevant in zip(ALL_EXAMPLES, gathered):
             assert builder.gather_relevant(example) is relevant

@@ -5,9 +5,10 @@ example set round after round; the verdict cache must serve settled
 (candidate, ground clause, label semantics) triples without re-proving them,
 must key the two label semantics separately, and must reset with
 ``clear_cache``.  The wiring tests pin the session-level sharing contracts:
-one :class:`~repro.logic.compiled.ClauseCompiler` per engine, and a
-reference checker keeping its class (and with it the reference engine) when
-the engine clones it to install that compiler.  The reference-fit tests run
+one :class:`~repro.logic.compiled.ClauseCompiler` per engine (the
+preparation's, for sessions), and the engine proving through the very
+checker it was given, so a reference checker keeps the reference engine.
+The reference-fit tests run
 whole learning runs on the object-level reference engine and require the
 production definitions and predictions bit for bit.
 """
@@ -19,8 +20,8 @@ import pytest
 from repro.core import BottomClauseBuilder, CoverageEngine, DLearn, DLearnConfig, Example, LearningSession
 from repro.data.registry import generate
 from repro.data.synthetic import ScenarioSpec
-from repro.db import Sampler
 from repro.logic.atoms import LiteralKind
+from repro.logic.compiled import ClauseCompiler
 from repro.logic.subsumption import SubsumptionChecker
 from repro.testing.oracles import ReferenceSubsumptionChecker, covers_serial, install_reference_subsumption
 
@@ -33,7 +34,7 @@ def make_engine(problem, config, checker: SubsumptionChecker | None = None) -> C
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, indexes)
     return CoverageEngine(builder, config, checker or SubsumptionChecker())
 
 
@@ -92,13 +93,13 @@ class TestCompiledWiring:
         assert engine.compiler is engine.checker.compiler
 
     def test_thread_checker_inherits_compiled_mode(self, movie_problem, fast_config):
-        # The engine's one checker inherits the engine mode of the checker it
-        # was given: the engine clones a compiler-less checker to install its
-        # compiler, and the clone must stay a reference checker, or the
-        # oracle would silently prove on the compiled engine.
+        # The engine proves through the very checker it was given, so a
+        # reference checker stays one (the oracle must never silently prove
+        # on the compiled engine), and the engine's compiler is the one the
+        # checker built in its initialiser.
         checker = ReferenceSubsumptionChecker(max_steps=500)
         engine = make_engine(movie_problem, fast_config, checker)
-        assert engine.checker is not checker
+        assert engine.checker is checker
         assert type(engine.checker) is ReferenceSubsumptionChecker
         assert engine.checker.max_steps == 500
         assert engine.checker.compiler is engine.compiler
@@ -111,6 +112,26 @@ class TestCompiledWiring:
         assert compiled_engine.batch_covers(candidate, examples) == reference_engine.batch_covers(
             candidate, examples
         )
+
+    def test_second_session_reuses_compiled_ground_forms(self, movie_problem, fast_config, monkeypatch):
+        # Compiled forms belong to the preparation's compiler, not to a
+        # session: a second session over the same preparation rebuilds the
+        # examples' ground clauses but compiles none of them again.
+        first = LearningSession(movie_problem, fast_config)
+        examples = first.problem.examples.all()
+        grounds = first.engine.prepared_grounds(examples)
+        compiles = []
+        original = ClauseCompiler.compile_specific
+
+        def counting(compiler, clause):
+            compiles.append(clause)
+            return original(compiler, clause)
+
+        monkeypatch.setattr(ClauseCompiler, "compile_specific", counting)
+        second = LearningSession(movie_problem, fast_config, preparation=first.preparation)
+        again = second.engine.prepared_grounds(examples)
+        assert compiles == []
+        assert all(new is old for new, old in zip(again, grounds))
 
     def test_session_shares_preparation_compiler(self, movie_problem, fast_config):
         from repro.core import LearningSession

@@ -17,7 +17,7 @@ import pytest
 from repro.constraints import MatchingDependency, repairs_of
 from repro.core import BottomClauseBuilder, CoverageEngine, DLearnConfig, Example, ExampleSet, LearningProblem
 from repro.core.repair_literals import repaired_clauses
-from repro.db import AttributeType, ClauseEvaluator, DatabaseInstance, DatabaseSchema, RelationSchema, Sampler
+from repro.db import AttributeType, ClauseEvaluator, DatabaseInstance, DatabaseSchema, RelationSchema
 from repro.logic.subsumption import SubsumptionChecker
 from repro.similarity import SimilarityOperator
 
@@ -79,7 +79,7 @@ def config() -> DLearnConfig:
 def engine(config) -> CoverageEngine:
     problem = tiny_problem()
     indexes = problem.build_similarity_indexes(top_k=2, threshold=0.6)
-    builder = BottomClauseBuilder(problem, config, indexes, Sampler(0))
+    builder = BottomClauseBuilder(problem, config, indexes)
     return CoverageEngine(builder, config, SubsumptionChecker())
 
 

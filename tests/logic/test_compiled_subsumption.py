@@ -31,6 +31,8 @@ from repro.logic import (
     ClauseCompiler,
     Comparison,
     ComparisonOp,
+    CompiledGeneral,
+    CompiledSpecific,
     Condition,
     Constant,
     HornClause,
@@ -43,6 +45,7 @@ from repro.logic import (
     similarity_literal,
     theta_subsumes,
 )
+from repro.logic import compiled as compiled_module
 from repro.logic.subsumption import SubsumptionChecker, _default_checker
 from repro.testing.oracles import ReferenceSubsumptionChecker
 
@@ -213,15 +216,24 @@ class TestTermInterner:
         assert checker.subsumes(general, specific).subsumes
         assert compiler.terms.intern(Constant("a")) == compiler.terms.intern(Constant("a"))
 
-    def test_compiled_forms_are_cached_on_prepared_clauses(self):
-        checker = compiled_checker()
-        general = checker.prepare_general(HornClause(head(), (relation_literal("r", X, Y),)))
-        specific = checker.prepare(HornClause(head(A), (relation_literal("r", A, B),)))
+    def test_prepare_serves_cached_compiled_forms(self):
+        """The prepared form is the compiled form, one per (head, body) per compiler."""
+        compiler = ClauseCompiler()
+        checker = compiled_checker(compiler=compiler)
+        general_clause = HornClause(head(), (relation_literal("r", X, Y),))
+        specific_clause = HornClause(head(A), (relation_literal("r", A, B),))
+        general = checker.prepare_general(general_clause)
+        specific = checker.prepare(specific_clause)
+        assert isinstance(general, CompiledGeneral) and isinstance(specific, CompiledSpecific)
+        assert general.clause is general_clause and specific.clause is specific_clause
         assert checker.subsumes(general, specific).subsumes
-        first_general, first_specific = general.compiled, specific.compiled
-        assert first_general is not None and first_specific is not None
-        assert checker.subsumes(general, specific).subsumes
-        assert general.compiled is first_general and specific.compiled is first_specific
+        # An equal clause rebuilt from the same parts, and any other checker
+        # over the same compiler, get the very same forms.
+        assert checker.prepare_general(HornClause(general_clause.head, general_clause.body)) is general
+        assert checker.prepare(HornClause(specific_clause.head, specific_clause.body)) is specific
+        other = compiled_checker(compiler=compiler, max_steps=None)
+        assert other.prepare(specific_clause) is specific
+        assert other.prepare_general(general_clause) is general
 
     def test_order_variant_clauses_do_not_share_compiled_forms(self):
         """Regression: HornClause equality ignores body order, compiled forms must not.
@@ -274,7 +286,44 @@ class TestTermInterner:
         assert first.subsumes(prepared_general, prepared).subsumes
         second = compiled_checker()
         assert second.subsumes(prepared_general, prepared).subsumes
-        assert prepared_general.compiled.terms is second.compiler.terms
+        assert second.retained_generalization(general, prepared) == list(general.body)
+        # The second checker compiled both sides from their clauses, through
+        # its own interner and into its own cache.
+        assert (general.head, general.body) in second.compiler._general_cache
+        assert (specific.head, specific.body) in second.compiler._specific_cache
+        assert second.prepare_general(general).terms is second.compiler.terms
+        assert second.prepare(specific).terms is second.compiler.terms
+        assert second.prepare(specific) is not prepared
+
+    def test_compiled_form_caches_stay_bounded(self, monkeypatch):
+        """Past its bound a form cache is cleared wholesale; verdicts do not change."""
+        generals = [
+            HornClause(head(), (relation_literal("r", X, Constant(f"c{i}")),)) for i in range(6)
+        ]
+        specifics = [
+            HornClause(head(A), (relation_literal("r", A, Constant(f"c{i % 4}")), relation_literal("s", A)))
+            for i in range(10)
+        ] + [HornClause(head(A), (relation_literal("r", A, B), equality_literal(B, Constant("c5"))))]
+
+        def verdicts(checker):
+            return [checker.subsumes(g, s).subsumes for g in generals for s in specifics]
+
+        expected = verdicts(reference_checker())
+        assert verdicts(compiled_checker()) == expected
+        assert any(expected) and not all(expected)
+
+        monkeypatch.setattr(compiled_module, "_COMPILE_CACHE_SIZE", 4)
+        compiler = ClauseCompiler()
+        checker = compiled_checker(compiler=compiler)
+        for _ in range(2):  # the second pass re-compiles what eviction dropped
+            observed = []
+            for g in generals:
+                for s in specifics:
+                    observed.append(checker.subsumes(g, s).subsumes)
+                    assert len(compiler._general_cache) <= 4
+                    assert len(compiler._specific_cache) <= 4
+            assert observed == expected
+        assert compiler._specific_cache and compiler._general_cache
 
 
 def _symmetric_chain_pair(length: int = 6) -> tuple[HornClause, HornClause]:

@@ -10,9 +10,9 @@ from repro.logic import (
     Comparison,
     ComparisonOp,
     Condition,
+    CompiledGeneral,
     Constant,
     HornClause,
-    PreparedGeneral,
     SubsumptionChecker,
     Variable,
     equality_literal,
@@ -21,6 +21,7 @@ from repro.logic import (
     similarity_literal,
     theta_subsumes,
 )
+from repro.testing.oracles import ReferenceSubsumptionChecker
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -175,7 +176,7 @@ class TestRepairLiterals:
 
 
 class TestPreparedGeneral:
-    """The prepared general (C) side must be interchangeable with the raw clause."""
+    """The prepared (compiled) general (C) side must be interchangeable with the raw clause."""
 
     def _pairs(self):
         u1, u2 = Variable("u1"), Variable("u2")
@@ -213,20 +214,11 @@ class TestPreparedGeneral:
         for general, specific in self._pairs():
             raw = checker.subsumes(general, specific).subsumes
             prepared_general = checker.prepare_general(general)
-            assert isinstance(prepared_general, PreparedGeneral)
+            assert isinstance(prepared_general, CompiledGeneral)
             assert checker.subsumes(prepared_general, specific).subsumes == raw
             # Both sides prepared at once.
             prepared_specific = checker.prepare(specific)
             assert checker.subsumes(prepared_general, prepared_specific).subsumes == raw
-
-    def test_prepared_general_splits_body(self):
-        checker = SubsumptionChecker()
-        general, _ = self._pairs()[0]
-        prepared = checker.prepare_general(general)
-        assert all(lit.is_relation or lit.is_repair for lit in prepared.structural)
-        assert all(lit.is_comparison for lit in prepared.comparisons)
-        assert len(prepared.structural) + len(prepared.comparisons) == len(general.body)
-        assert prepared.head is general.head
 
     def test_prepared_general_is_reusable(self):
         checker = SubsumptionChecker()
@@ -250,7 +242,9 @@ class TestUnionFindCollapse:
         assert theta_subsumes(general, specific)
 
     def test_equality_of_distinct_constants_flags_unsatisfiable(self):
-        checker = SubsumptionChecker()
+        # The flag lives on the collapse map, which only the reference
+        # checker's object-level prepared form exposes.
+        checker = ReferenceSubsumptionChecker()
         specific = HornClause(
             head(A),
             (
@@ -259,7 +253,7 @@ class TestUnionFindCollapse:
             ),
         )
         prepared = checker.prepare(specific)
-        assert prepared.body_unsatisfiable
+        assert prepared.collapse.unsatisfiable
 
     def test_distinct_constants_are_not_silently_collapsed(self):
         """Regression: collapsing 'a' = 'b' let C match a literal it cannot map onto."""
@@ -276,13 +270,13 @@ class TestUnionFindCollapse:
         assert not theta_subsumes(general, specific)
 
     def test_satisfiable_bodies_stay_unflagged(self):
-        checker = SubsumptionChecker()
+        checker = ReferenceSubsumptionChecker()
         specific = HornClause(
             head(A),
             (relation_literal("r", A, B), equality_literal(B, Constant("comedy"))),
         )
         prepared = checker.prepare(specific)
-        assert not prepared.body_unsatisfiable
+        assert not prepared.collapse.unsatisfiable
         general = HornClause(head(), (relation_literal("r", X, Constant("comedy")),))
         assert theta_subsumes(general, specific)
 
