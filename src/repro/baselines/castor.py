@@ -80,9 +80,8 @@ class CastorClean:
     def fit(
         self, problem: LearningProblem, *, preparation: DatabasePreparation | None = None
     ) -> LearnedModel:
-        # Entity resolution produces a copy-on-write overlay — a different
-        # instance observationally — so a shared preparation over the
-        # original one cannot be reused here.
+        # Entity resolution builds a different instance, so a shared
+        # preparation over the original one cannot be reused here.
         del preparation
         cleaned_database = resolve_entities(
             problem, top_k=1, threshold=self.config.similarity_threshold

@@ -31,10 +31,9 @@ class DLearnRepaired:
     def fit(
         self, problem: LearningProblem, *, preparation: DatabasePreparation | None = None
     ) -> LearnedModel:
-        # The repair is a copy-on-write overlay over the dirty instance —
-        # cheap to build, but still a *different* instance observationally; a
-        # shared preparation over the dirty one would answer probes for the
-        # wrong tuples, so the learner builds its own.
+        # The repair is a different instance from the dirty one; a shared
+        # preparation over the dirty one would answer probes for the wrong
+        # tuples, so the learner builds its own.
         del preparation
         repaired_database = minimal_cfd_repair(problem.database, problem.cfds)
         repaired_problem = problem.with_database(repaired_database).with_constraints(cfds=[])

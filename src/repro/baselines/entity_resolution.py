@@ -19,20 +19,20 @@ from __future__ import annotations
 from ..constraints.mds import MatchingDependency
 from ..core.problem import LearningProblem
 from ..db.instance import DatabaseInstance
-from ..db.overlay import OverlayInstance
 from ..similarity.index import SimilarityIndex
 
 __all__ = ["resolve_entities"]
 
 
 def resolve_entities(problem: LearningProblem, *, top_k: int = 1, threshold: float | None = None) -> DatabaseInstance:
-    """Return a resolved view of the problem's database (MD heterogeneities rewritten).
+    """Return the problem's database with its MD heterogeneities rewritten.
 
-    The result is a copy-on-write overlay over the original instance: only
-    the rewritten rows enter the delta, one overlay accumulates every MD's
-    rewrites, and the Castor-Clean learner runs over the view directly.
+    Each MD with rewrites yields a new instance
+    (:meth:`~repro.db.instance.DatabaseInstance.map_relation`); the original
+    instance is never modified, and is returned itself when nothing needs
+    rewriting.
     """
-    database: DatabaseInstance = OverlayInstance.over(problem.database)
+    database = problem.database
     indexes = problem.build_similarity_indexes(top_k=max(1, top_k), threshold=threshold)
     for md in problem.mds:
         index = indexes.get(md.name)

@@ -143,9 +143,6 @@ class ConditionalFunctionalDependency:
             for value, pattern in zip(self.lhs_values(schema, tup), self.lhs_pattern)
         )
 
-    def rhs_matches_pattern(self, schema: RelationSchema, tup: Tuple) -> bool:
-        return pattern_matches(self.rhs_value(schema, tup), self.rhs_pattern)
-
     def violated_by(self, schema: RelationSchema, first: Tuple, second: Tuple) -> bool:
         """Do the two tuples jointly violate the CFD?
 

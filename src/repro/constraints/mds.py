@@ -19,7 +19,7 @@ examples rather than stored rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..db.schema import DatabaseSchema, SchemaError
 from ..db.tuples import Tuple
@@ -186,14 +186,3 @@ class MatchingDependency:
             f"{premises} -> {self.left_relation}[{self.identified.left_attribute}] <=> "
             f"{self.right_relation}[{self.identified.right_attribute}]"
         )
-
-
-def normalize(mds: Iterable[MatchingDependency]) -> list[MatchingDependency]:
-    """Return the MDs as a list, dropping exact duplicates while preserving order."""
-    seen: set[MatchingDependency] = set()
-    unique: list[MatchingDependency] = []
-    for md in mds:
-        if md not in seen:
-            seen.add(md)
-            unique.append(md)
-    return unique

@@ -17,13 +17,10 @@ for small inputs); ``minimal_cfd_repair`` produces one repair of the CFD
 violations using the minimal value-modification semantics the paper adopts
 for its baseline.
 
-Repairs are produced as :class:`~repro.db.overlay.OverlayInstance` —
-copy-on-write views holding only the tuple-level delta over the original
-instance — instead of full database copies.  Overlays answer every query and
-index probe of the :class:`~repro.db.instance.DatabaseInstance` API (the
-baselines learn over them directly), and
-:meth:`~repro.db.overlay.OverlayInstance.materialize` remains the eager
-reference path the property suite validates against.
+Every repair is a new plain :class:`~repro.db.instance.DatabaseInstance`,
+built by :meth:`~repro.db.instance.DatabaseInstance.replace_value_globally`
+(MDs) or :meth:`~repro.db.instance.DatabaseInstance.map_relation` (CFDs) and
+sharing the original instance's interner; the original is never modified.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from collections import Counter, defaultdict
 from typing import Callable, Iterable, Iterator
 
 from ..db.instance import DatabaseInstance
-from ..db.overlay import OverlayInstance
 from ..db.tuples import Tuple
 from ..logic.terms import Constant, matched_constant
 from .cfds import WILDCARD, ConditionalFunctionalDependency
@@ -84,17 +80,12 @@ def enforce_md(instance: DatabaseInstance, match: MDMatch) -> DatabaseInstance:
     representations of one real-world value, so every other occurrence of
     either representation denotes that same value as well.  Global
     replacement is also what makes repeated enforcement terminate.
-
-    The result is a copy-on-write overlay: only the rows containing either
-    replaced value enter the delta, and chained enforcements merge their
-    deltas over the one shared base instead of stacking copies.
     """
     if not match.needs_enforcement:
         return instance
     unified = _unified_value(match.left_value, match.right_value)
-    repaired = OverlayInstance.over(instance).replace_value_globally(match.left_value, unified)
-    repaired = repaired.replace_value_globally(match.right_value, unified)
-    return repaired
+    repaired = instance.replace_value_globally(match.left_value, unified)
+    return repaired.replace_value_globally(match.right_value, unified)
 
 
 def _pending_matches(
@@ -183,10 +174,8 @@ def minimal_cfd_repair(
     CFDs" that the paper uses to build the DLearn-Repaired baseline
     (Section 6.1.3).
 
-    The repair is returned as a copy-on-write overlay (the original instance
-    is returned untouched when no violation needs repairing): only the
-    value-modified rows enter the delta, so the DLearn-Repaired baseline no
-    longer pays a full database copy to learn over the repaired instance.
+    Each repairing step builds a new instance; the original instance itself
+    is returned when no violation needs repairing.
     """
     cfds = list(cfds)
     current: DatabaseInstance = instance
@@ -219,7 +208,7 @@ def minimal_cfd_repair(
 
             if replacements:
                 changed = True
-                current = OverlayInstance.over(current).map_relation(
+                current = current.map_relation(
                     cfd.relation, lambda tup, mapping=replacements: mapping.get(tup, tup)
                 )
         if not changed:

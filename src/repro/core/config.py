@@ -125,8 +125,8 @@ class DLearnConfig:
     chaos:
         Deterministic fault injection (:mod:`repro.testing.chaos`): a
         :class:`~repro.testing.chaos.ChaosSpec` naming chunk ordinals at
-        which a worker is killed, delayed past its deadline, shipped a
-        corrupt wire, or denied an interner delta.  ``None`` — always the
+        which a worker is killed, delayed past its deadline, or denied an
+        interner delta.  ``None`` — always the
         production setting — injects nothing; the chaos suite sets it to
         prove recovery yields bit-identical results.  (The ``REPRO_CHAOS``
         environment variable gates the same injector operationally.)

@@ -139,10 +139,9 @@ class CoverageEngine:
         self._ground_cache: dict[tuple[object, ...], CompiledSpecific] = {}
         self._verdict_cache: dict[tuple[HornClause, HornClause, bool], bool] = {}
         #: Mutation-stamp of the database the cached ground clauses (and the
-        #: verdicts derived from them) were built against.  Overlay instances
-        #: support in-place delta mutation (a repair inserting or rewriting a
-        #: covered tuple), which silently invalidates every example-derived
-        #: cache — the stamp check at the prepared-ground funnel detects it.
+        #: verdicts derived from them) were built against.  An insert into
+        #: the database silently invalidates every example-derived cache —
+        #: the stamp check at the prepared-ground funnel detects it.
         self._database = builder.problem.database
         self._database_stamp = self._database.mutation_stamp()
         #: Guards verdict-cache and stamp writes.  Nothing in the library
@@ -207,11 +206,10 @@ class CoverageEngine:
     def _refresh_if_mutated(self) -> None:
         """Invalidate example-derived caches when the database changed underneath.
 
-        Repairs normally produce *new* (overlay) instances with their own
-        engines, but an :class:`~repro.db.overlay.OverlayInstance` can also be
-        mutated in place (a repair inserting or rewriting a covered tuple via
-        its delta), and a ground bottom clause — and every verdict proved from
-        it — built before that mutation is stale.  The stamp comparison is a
+        Repairs produce *new* instances with their own engines, but an
+        instance can also be written in place (``insert`` — its only in-place
+        write), and a ground bottom clause — and every verdict proved from it
+        — built before that write is stale.  The stamp comparison is a
         handful of integer reads per call, so it guards every prepared-ground
         funnel entry; on mismatch the ground and verdict caches drop and the
         chase's database-derived memos are invalidated with them.
@@ -240,18 +238,6 @@ class CoverageEngine:
         """Coverage of *example* by *clause* under the label-appropriate semantics."""
         ground = self.prepared_ground(example)
         return self._covers_ground(self._as_general(clause), ground, positive=example.positive)
-
-    def covers_ground_positive(
-        self, clause: HornClause | CompiledGeneral, ground: HornClause | CompiledSpecific
-    ) -> bool:
-        """Definition 3.4 via the Section 4.3 procedure."""
-        return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=True)
-
-    def covers_ground_negative(
-        self, clause: HornClause | CompiledGeneral, ground: HornClause | CompiledSpecific
-    ) -> bool:
-        """Definition 3.6 / Proposition 4.10."""
-        return self._covers_ground(self._as_general(clause), self._as_specific(ground), positive=False)
 
     # ------------------------------------------------------------------ #
     # batched evaluation
@@ -363,6 +349,3 @@ class CoverageEngine:
 
     def _as_general(self, clause: HornClause | CompiledGeneral) -> CompiledGeneral:
         return self.checker.prepare_general(clause) if isinstance(clause, HornClause) else clause
-
-    def _as_specific(self, ground: HornClause | CompiledSpecific) -> CompiledSpecific:
-        return self.checker.prepare(ground) if isinstance(ground, HornClause) else ground

@@ -31,7 +31,7 @@ from typing import Any
 
 from ..db.interning import ValueId
 from ..db.sharding import RelationShard, ShardWire, ShardedInstance, ValueInternerView
-from ..testing.chaos import CORRUPT_WIRE, ChaosInjector, chaos_from_env
+from ..testing.chaos import ChaosInjector, chaos_from_env
 from .supervision import (
     DeadlinePolicy,
     FaultPolicy,
@@ -107,23 +107,19 @@ def _seed_shard_worker(wires: tuple[ShardWire, ...], snapshot: tuple[int, int, b
 def _run_depth(task: tuple) -> tuple[_MembershipPart, _EqualityPart]:
     """One dispatched chase depth: apply deltas, probe the local shards.
 
-    ``task`` is ``(delta, resets, extends, names, frontier, equal_probes,
-    chaos)``: the interner flag delta, full shard wires to replace (an
-    overlay delta rewrote rows — rebuilds carry a new generation),
-    row-append deltas, the relation names to probe, the ascending
-    id-frontier, ``(name, position, keys)`` equality probes, and an
-    optional chaos directive (:func:`_apply_chaos`).  Probes run against
-    the shard's insert-time indexes — the same index-routed lookups the
+    ``task`` is ``(delta, extends, names, frontier, equal_probes, chaos)``:
+    the interner flag delta, row-append deltas, the relation names to probe,
+    the ascending id-frontier, ``(name, position, keys)`` equality probes,
+    and an optional chaos directive (:func:`_apply_chaos`).  Probes run
+    against the shard's insert-time indexes — the same index-routed lookups the
     unsharded relation answers, restricted to this shard's rows.
     """
-    delta, resets, extends, names, frontier, equal_probes, chaos = task
+    delta, extends, names, frontier, equal_probes, chaos = task
     _apply_chaos(chaos)
     values: ValueInternerView = _SHARD_STATE["values"]
     if delta is not None:
         values.extend(*delta)
     shards: dict[str, RelationShard] = _SHARD_STATE["shards"]
-    for wire in resets:
-        shards[wire[0]] = RelationShard.from_wire(wire)
     for name, rows in extends:
         shards[name].extend_rows(rows)
     if frontier and frontier[-1] >= len(values):
@@ -151,11 +147,11 @@ class SaturationFanout:
     FIFO queue, so a task that applies a row delta runs before any task
     probing it.  Workers are seeded once with their shard wires and
     the interner flag snapshot; each :meth:`depth_tables` dispatch carries
-    only what changed since — interner flag deltas, appended rows (or a
-    full shard re-ship when an overlay delta rewrote rows), the frontier
-    and the equality probes.  The gather merges the disjoint per-shard
-    answers with :mod:`repro.db.sharding`'s order-exact merges, so the
-    returned tables equal the unsharded prefetch's tables key for key.
+    only what changed since — interner flag deltas, appended rows (relations
+    only grow), the frontier and the equality probes.  The gather merges the
+    disjoint per-shard answers with :mod:`repro.db.sharding`'s order-exact
+    merges, so the returned tables equal the unsharded prefetch's tables key
+    for key.
 
     Not thread-safe — one dispatch at a time, from the thread driving the
     chase (which is how :class:`~repro.core.saturation.FrontierChase`
@@ -193,10 +189,6 @@ class SaturationFanout:
         self._workers = [self._new_worker(index, snapshot) for index in range(self.shard_count)]
         self._watermarks = [snapshot[1]] * self.shard_count
         relations = sharded.shard_relations()
-        self._generations: list[dict[str, int]] = [
-            {name: rel.generation for name, rel in relations.items()}
-            for _ in range(self.shard_count)
-        ]
         self._shipped_rows: list[dict[str, int]] = [
             {name: len(rel.shards[index]) for name, rel in relations.items()}
             for index in range(self.shard_count)
@@ -212,24 +204,17 @@ class SaturationFanout:
         )
 
     # ------------------------------------------------------------------ #
-    def _shard_deltas(self, index: int) -> tuple[tuple[ShardWire, ...], tuple]:
-        """What worker *index* is missing: full re-ships and row appends."""
-        resets: list[ShardWire] = []
+    def _shard_deltas(self, index: int) -> tuple:
+        """What worker *index* is missing: the rows appended since its last dispatch."""
         extends: list[tuple[str, tuple]] = []
-        generations = self._generations[index]
         shipped = self._shipped_rows[index]
         for name, sharded_rel in self.sharded.shard_relations().items():
             shard = sharded_rel.shards[index]
-            if generations.get(name) != sharded_rel.generation:
-                resets.append(shard.to_wire())
-                generations[name] = sharded_rel.generation
-                shipped[name] = len(shard)
-                continue
             have = shipped.get(name, 0)
             if len(shard) > have:
                 extends.append((name, tuple(shard.id_rows(have))))
                 shipped[name] = len(shard)
-        return tuple(resets), tuple(extends)
+        return tuple(extends)
 
     def depth_tables(
         self,
@@ -251,7 +236,7 @@ class SaturationFanout:
         wire_probes = tuple((name, position, keys) for name, _, position, keys in equal_probes)
         jobs: list[WorkerJob] = []
         for index in range(self.shard_count):
-            resets, extends = self._shard_deltas(index)
+            extends = self._shard_deltas(index)
             start, mark, flags = self.sharded.interner_snapshot(self._watermarks[index])
             delta = (start, mark, flags) if mark > start else None
             self._watermarks[index] = mark
@@ -261,18 +246,14 @@ class SaturationFanout:
                 directive = faults.directive
                 if faults.drop_delta:
                     delta = None
-                if faults.corrupt_wire and resets:
-                    # ShardWire payloads, not (handle, wire) pairs: replace
-                    # the first re-shipped shard with the invalid marker.
-                    resets = (CORRUPT_WIRE,) + resets[1:]
             jobs.append(
                 WorkerJob(
                     worker=index,
-                    payload=(delta, resets, extends, names, frontier, wire_probes, directive),
+                    payload=(delta, extends, names, frontier, wire_probes, directive),
                     # Recovery reseeds the worker with its shard's current
                     # wires and the full interner snapshot, so the retry
                     # carries only the probes.
-                    retry_payload=(None, (), (), names, frontier, wire_probes, None),
+                    retry_payload=(None, (), names, frontier, wire_probes, None),
                     units=max(1, len(frontier)),
                 )
             )
@@ -305,8 +286,8 @@ class SaturationFanout:
 
         The replacement executor's initializer carries the shard's current
         wire forms and the full interner flag snapshot — a complete re-seed,
-        which is also why a *desynchronised* worker (lost delta, corrupt
-        wire) is recoverable here: the respawn rebuilds the exact state an
+        which is also why a *desynchronised* worker (a lost delta) is
+        recoverable here: the respawn rebuilds the exact state an
         uninterrupted delta stream would have produced.  The parent-side
         delta bookkeeping is re-anchored to what the fresh seed contains.
         """
@@ -315,14 +296,13 @@ class SaturationFanout:
         self._workers[worker] = self._new_worker(worker, snapshot)
         self._watermarks[worker] = snapshot[1]
         relations = self.sharded.shard_relations()
-        self._generations[worker] = {name: rel.generation for name, rel in relations.items()}
         self._shipped_rows[worker] = {
             name: len(rel.shards[worker]) for name, rel in relations.items()
         }
 
     def warm(self) -> None:
         """Spawn and seed every shard worker now (benchmarks time depths, not forking)."""
-        empty: tuple = (None, (), (), (), (), (), None)
+        empty: tuple = (None, (), (), (), (), None)
         timeout = self.supervisor.deadline_policy.timeout_for(0)
         for future in [worker.submit(_run_depth, empty) for worker in self._workers]:
             future.result(timeout=timeout)

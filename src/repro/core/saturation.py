@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..db.instance import DatabaseInstance
 from ..db.interning import MISSING_ID
-from ..db.overlay import OverlayInstance
 from ..db.relation import RelationInstance
 from ..db.sampling import Sampler
 from ..db.tuples import Tuple
@@ -139,27 +138,19 @@ class SaturationCache:
 class DatabaseProbeCache:
     """Memoised chase-global probe state over one database instance.
 
-    Every answer is a pure function of the (immutable, insert-only) database,
-    so one cache can back every chase over the instance — the covering loop,
-    prediction, all cross-validation folds.  Since the interned storage core
-    the raw id→rows sets are cached (frozen) inside the relation indexes
-    themselves; what remains here are the cross-relation aggregates (value
-    frequencies) and the depth-local probe tables the batched chase hands to
-    every example.
+    Every answer is a pure function of the (insert-only) database, so one
+    cache can back every chase over the instance — the covering loop,
+    prediction, all cross-validation folds.  The raw id→rows sets are cached
+    (frozen) inside the relation indexes themselves, so the probe methods
+    pass straight through to them (they stay methods because perfbench's
+    tracer wraps them by name to count the chase's probes); what is
+    memoised here are the cross-relation aggregates (value frequencies).
     """
 
     def __init__(self, database: DatabaseInstance) -> None:
         self.database = database
         #: value id → number of tuples containing it anywhere (chaseability).
         self._frequency: dict[object, int] = {}
-        # Plain instances freeze probe results inside the relation indexes
-        # themselves, so no second cache layer is kept on top.  Copy-on-write
-        # overlays do not have that index-level caching (every probe patches
-        # the base result with an O(delta) scan, and the baselines chase over
-        # overlays directly), so their probes are memoised here.
-        self._memoise = isinstance(database, OverlayInstance)
-        self._any_rows: dict[tuple[str, object], frozenset[int]] = {}
-        self._equal: dict[tuple[str, str, object], tuple[int, ...]] = {}
 
     def clear(self) -> None:
         """Drop every memoised answer (the backing database was mutated in place).
@@ -170,8 +161,6 @@ class DatabaseProbeCache:
         memos so the next probe recomputes against the current contents.
         """
         self._frequency.clear()
-        self._any_rows.clear()
-        self._equal.clear()
 
     # -- global value frequency (drives the chaseability test) ---------- #
     def value_frequency(self, key: object) -> int:
@@ -188,14 +177,7 @@ class DatabaseProbeCache:
 
     # -- any-attribute containment probes ------------------------------- #
     def rows_any(self, relation: RelationInstance, key: object) -> frozenset[int]:
-        if not self._memoise:
-            return relation.rows_with_id(key)
-        memo_key = (relation.schema.name, key)
-        cached = self._any_rows.get(memo_key)
-        if cached is None:
-            cached = relation.rows_with_id(key)
-            self._any_rows[memo_key] = cached
-        return cached
+        return relation.rows_with_id(key)
 
     def any_rows_table(self, relation: RelationInstance, keys: Iterable[object]) -> dict[object, frozenset[int]]:
         """Resolve *keys* against *relation* in one call and return the non-empty hits.
@@ -203,31 +185,17 @@ class DatabaseProbeCache:
         The returned plain dict is the depth-local probe table the batched
         chase hands to every example: distributing rows per example becomes a
         direct dictionary lookup, and the underlying frozensets are the
-        index's own shared entries (memoised probe results over an
-        overlay).
+        index's own shared entries.
         """
-        if not self._memoise:
-            return {key: rows for key, rows in relation.rows_with_ids(keys).items() if rows}
-        return {key: rows for key in keys if (rows := self.rows_any(relation, key))}
+        return {key: rows for key, rows in relation.rows_with_ids(keys).items() if rows}
 
     # -- equality selection probes --------------------------------------- #
     def rows_equal(self, relation: RelationInstance, attribute: str, key: object) -> tuple[int, ...]:
-        if not self._memoise:
-            return relation.rows_equal_id(attribute, key)
-        memo_key = (relation.schema.name, attribute, key)
-        cached = self._equal.get(memo_key)
-        if cached is None:
-            cached = relation.rows_equal_id(attribute, key)
-            self._equal[memo_key] = cached
-        return cached
+        return relation.rows_equal_id(attribute, key)
 
     def prefetch_equal(self, relation: RelationInstance, attribute: str, keys: Iterable[object]) -> None:
-        """Warm the attribute-index entries (and the overlay memo) for *keys*."""
-        if not self._memoise:
-            relation.rows_equal_ids(attribute, keys)
-            return
-        for key in keys:
-            self.rows_equal(relation, attribute, key)
+        """Warm the attribute-index entries for *keys*."""
+        relation.rows_equal_ids(attribute, keys)
 
 
 class _ChaseState:

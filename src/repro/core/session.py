@@ -40,7 +40,7 @@ from ..constraints.mds import MatchingDependency
 from ..db.instance import DatabaseInstance
 from ..db.sampling import Sampler
 from ..db.schema import RelationSchema
-from ..db.sharding import ShardedInstance, relation_stamp
+from ..db.sharding import ShardedInstance
 from ..logic.compiled import ClauseCompiler
 from ..logic.subsumption import SubsumptionChecker
 from ..similarity.composite import SimilarityOperator
@@ -79,9 +79,10 @@ class _MdIndexCache:
     cache, with only never-seen example values scored incrementally.
 
     All of that state derives from the MD's database relations, so it is
-    keyed on their per-relation stamps (:func:`~repro.db.sharding.relation_stamp`)
-    and dropped — to be re-scored on demand — when a write moves either one.
-    Writes to other relations leave it in place.
+    keyed on their row counts (relations are insert-only, so a relation's row
+    count moves with every write to it) and dropped — to be re-scored on
+    demand — when a write moves either one.  Writes to other relations leave
+    it in place.
     """
 
     def __init__(
@@ -116,8 +117,8 @@ class _MdIndexCache:
         self._static: dict[tuple[int, float], SimilarityIndex] = {}
         #: full-build cache for the (rare) target-to-target MDs.
         self._full: dict[tuple[frozenset, frozenset, int, float], SimilarityIndex] = {}
-        #: stamps of the MD's database relations when the state above was scored.
-        self._stamps = self._relation_stamps()
+        #: row counts of the MD's database relations when the state above was scored.
+        self._row_counts = self._relation_row_counts()
 
     # ------------------------------------------------------------------ #
     def index_for(self, examples: Sequence[Example], top_k: int, threshold: float) -> SimilarityIndex:
@@ -188,18 +189,18 @@ class _MdIndexCache:
             self._blocker.add_all(self._fixed_column())
         return self._blocker
 
-    def _relation_stamps(self) -> tuple[tuple[object, ...], ...]:
+    def _relation_row_counts(self) -> tuple[int, ...]:
         return tuple(
-            relation_stamp(self.database.relation(name))
+            len(self.database.relation(name))
             for name in (self.md.left_relation, self.md.right_relation)
             if name != self.target.name
         )
 
     def _drop_if_stale(self) -> None:
         """Forget every score and index built before a write to the MD's relations."""
-        stamps = self._relation_stamps()
-        if stamps != self._stamps:
-            self._stamps = stamps
+        row_counts = self._relation_row_counts()
+        if row_counts != self._row_counts:
+            self._row_counts = row_counts
             self._blocker = None
             self._fixed_distinct = None
             self._scored = {}
@@ -263,6 +264,8 @@ class DatabasePreparation:
         self.target = target
         self.operator = operator or SimilarityOperator()
         self.probes = DatabaseProbeCache(database)
+        #: Mutation stamp of the database when :attr:`probes` was last known current.
+        self._probes_stamp = database.mutation_stamp()
         #: Shared θ-subsumption clause compiler: term ids are only meaningful
         #: relative to one interner, so every session over this database (the
         #: covering loop, prediction batches, cross-validation folds) compiles
@@ -277,6 +280,19 @@ class DatabasePreparation:
     def from_problem(cls, problem: LearningProblem) -> "DatabasePreparation":
         return cls(problem.database, problem.target, problem.similarity_operator)
 
+    def current_probes(self) -> DatabaseProbeCache:
+        """The shared probe cache, cleared first if the database was written since.
+
+        A session's coverage engine clears the probes when it sees a write,
+        but a session built after the write starts at the new stamp and
+        never would; every session therefore takes the probes from here.
+        """
+        stamp = self.database.mutation_stamp()
+        if stamp != self._probes_stamp:
+            self.probes.clear()
+            self._probes_stamp = stamp
+        return self.probes
+
     # ------------------------------------------------------------------ #
     def sharded_instance(self, shard_count: int) -> ShardedInstance:
         """Memoised row-wise sharded projection of this database.
@@ -284,7 +300,7 @@ class DatabasePreparation:
         One sharded projection per shard count serves every session over the
         preparation — the shards are kept current against in-place mutations
         by the scatter planes' per-depth :meth:`~repro.db.sharding.ShardedInstance.sync`
-        (a cheap stamp comparison when nothing changed).
+        (one row-count comparison per relation when nothing changed).
         """
         sharded = self._sharded.get(shard_count)
         if sharded is None:
@@ -401,6 +417,11 @@ class LearningSession:
         self.problem = problem
         self.config = config
         self.preparation = preparation or DatabasePreparation.from_problem(problem)
+        #: The database relations the MDs match: the similarity indexes are
+        #: built from their contents as of :attr:`_md_rows`.
+        md_relations = {name for md in problem.mds for name in (md.left_relation, md.right_relation)}
+        self._md_relations = tuple(sorted(md_relations - {problem.target_name})) if config.use_mds else ()
+        self._md_rows = self._md_relation_rows()
         self.similarity_indexes: dict[str, SimilarityIndex] = (
             self.preparation.similarity_indexes_for(
                 problem.mds,
@@ -415,7 +436,7 @@ class LearningSession:
             problem,
             config,
             self.similarity_indexes,
-            probes=self.preparation.probes,
+            probes=self.preparation.current_probes(),
             cache=SaturationCache(),
         )
         self.assembler = ClauseAssembler(problem, config, self.chase)
@@ -451,6 +472,10 @@ class LearningSession:
         self.generalizer = Generalizer(self.engine, config, Sampler(config.seed))
         self._evaluation_sessions: dict[frozenset, "LearningSession"] = {}
 
+    def _md_relation_rows(self) -> tuple[int, ...]:
+        database = self.problem.database
+        return tuple(len(database.relation(name)) for name in self._md_relations)
+
     # ------------------------------------------------------------------ #
     # derived sessions
     # ------------------------------------------------------------------ #
@@ -478,9 +503,17 @@ class LearningSession:
         recently used entry is evicted (hits are refreshed, so repeatedly
         scored example sets stay memoised); the shared preparation keeps even
         an evicted set's similarity scoring and database probes warm.
+
+        A memoised session whose MD relations were written since it was built
+        is rebuilt: its similarity indexes and the chase's partner memo were
+        built from the old rows.  Writes to other relations cost only this
+        row-count comparison (the session's engine drops its own
+        database-derived caches on any write).
         """
         key = frozenset(example.values for example in examples)
         session = self._evaluation_sessions.pop(key, None)
+        if session is not None and session._md_rows != session._md_relation_rows():
+            session = None
         if session is None:
             example_set = ExampleSet(
                 positives=[example for example in examples if example.positive],

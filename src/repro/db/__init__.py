@@ -3,14 +3,15 @@
 A deliberately small stand-in for the VoltDB instance the paper runs on
 (Section 5): typed schemas, interned columnar relation instances (values
 dictionary-encoded to dense ids, see :mod:`repro.db.interning`),
-copy-on-write overlay instances for repairs (:mod:`repro.db.overlay`),
 conjunctive-query evaluation of repaired clauses, and seeded sampling.
+Repairs are plain instances built by
+:meth:`~repro.db.instance.DatabaseInstance.replace_value_globally` and
+:meth:`~repro.db.instance.DatabaseInstance.map_relation`.
 """
 
 from .index import AttributeIndex, ValueIndex
 from .instance import DatabaseInstance
 from .interning import MISSING_ID, ValueInterner
-from .overlay import OverlayInstance, OverlayRelation
 from .query import ClauseEvaluator
 from .relation import RelationInstance
 from .sampling import Sampler
@@ -26,8 +27,6 @@ __all__ = [
     "DatabaseInstance",
     "DatabaseSchema",
     "MISSING_ID",
-    "OverlayInstance",
-    "OverlayRelation",
     "RelationInstance",
     "RelationSchema",
     "Sampler",

@@ -23,8 +23,7 @@ class DatabaseInstance:
     indexes, chase frontiers and cache keys (see :mod:`repro.db.interning`).
     It is the object every other subsystem works against: the bottom-clause
     constructor runs indexed selections over it, constraint checkers scan it
-    for violations, and repair generation produces overlays (or new
-    instances) from it.
+    for violations, and repair generation builds new instances from it.
     """
 
     def __init__(self, schema: DatabaseSchema) -> None:
@@ -135,8 +134,10 @@ class DatabaseInstance:
     def map_relation(self, relation_name: str, transform: Callable[[Tuple], Tuple]) -> "DatabaseInstance":
         """Return a copy with *transform* applied to every tuple of one relation.
 
-        This is the eager reference path; repair generation goes through the
-        copy-on-write overlays of :mod:`repro.db.overlay` instead.
+        Rows the transform makes identical to an earlier row collapse into
+        it (set semantics); the other relations are copied unchanged.  This
+        is how :func:`repro.constraints.repairs.minimal_cfd_repair` and
+        :func:`repro.baselines.resolve_entities` build their repairs.
         """
         clone = DatabaseInstance.__new__(DatabaseInstance)
         clone.schema = self.schema
@@ -151,9 +152,10 @@ class DatabaseInstance:
         """Return a copy in which every occurrence of *old* is replaced by *new*.
 
         This is the semantics of enforcing an MD (Definition 2.2): the two
-        unified values are made identical everywhere they appear.  Eager
-        reference path — :meth:`repro.db.overlay.OverlayInstance.replace_value_globally`
-        computes the same result as a tuple-level delta.
+        unified values are made identical everywhere they appear, and rows
+        that become identical to an earlier row collapse into it (set
+        semantics), in every relation.  :func:`repro.constraints.repairs.enforce_md`
+        builds its repairs with it.
         """
         clone = DatabaseInstance.__new__(DatabaseInstance)
         clone.schema = self.schema
@@ -177,10 +179,9 @@ class DatabaseInstance:
     def mutation_stamp(self) -> tuple:
         """Cheap token that changes whenever this instance's contents change in place.
 
-        Plain instances are insert-only (repairs build new instances or
-        overlays), so per-relation row counts witness every in-place
-        mutation; :class:`~repro.db.overlay.OverlayInstance` extends the
-        stamp with its delta composition.  Session-level caches that derive
+        Instances are insert-only (repairs build new instances), so
+        per-relation row counts witness every in-place mutation: ``insert``
+        is the only in-place write.  Session-level caches that derive
         state from the database (prepared ground clauses, coverage verdicts,
         chase memos) compare stamps to detect that the instance they were
         built over has been mutated underneath them — orders of magnitude

@@ -18,8 +18,8 @@ Every :class:`~repro.db.instance.DatabaseInstance` owns one
 :class:`ValueInterner`.  Ids are only meaningful relative to the interner
 that produced them.  Interners are append-only and never forget a value, so
 an id, once handed out, stays valid for the lifetime of every instance sharing the dictionary —
-including copy-on-write overlays, which share their base instance's interner
-by construction.
+including the copies and repairs derived from an instance, which share its
+interner by construction.
 """
 
 from __future__ import annotations

@@ -30,9 +30,10 @@ class RelationInstance:
 
     Tuples are stored positionally; positions ("rows") are stable for the
     lifetime of the instance and are what the indexes refer to.  The engine
-    is insert-only — repairs build *new* instances (or copy-on-write overlays,
-    see :mod:`repro.db.overlay`) rather than mutating an existing one,
-    mirroring the paper's treatment of repairs as separate database instances.
+    is insert-only — repairs build *new* instances rather than mutating an
+    existing one, mirroring the paper's treatment of repairs as separate
+    database instances — so a relation only grows and its row count
+    witnesses every write.
     """
 
     __slots__ = (

@@ -21,34 +21,29 @@ Identity by construction:
   ascending global order, so per-shard probe answers are disjoint ascending
   row sets whose union/merge (:func:`merge_membership` /
   :func:`merge_equality`) is *equal* to the unsharded index answer;
-* :class:`~repro.db.overlay.OverlayInstance` deltas are shard-aware: shard
-  construction walks the overlay's logical id rows, so replaced rows route by
-  their rewritten contents, dropped rows route nowhere, and added rows keep
-  their overlay handles — probes over the shard union match the overlay's
-  patched probes exactly, and :meth:`ShardedInstance.materialize` gathers a
-  fingerprint-identical plain instance back from the shard bases.
+* relations are insert-only, so a relation's row count says which of its
+  rows are routed: :meth:`ShardedInstance.sync` routes exactly the rows past
+  it, and :meth:`ShardedInstance.materialize` gathers a fingerprint-identical
+  plain instance back from the shards.
 
 Process boundary: a shard crosses once, as a byte wire form
 (:meth:`RelationShard.to_wire` — ``array('q')`` buffers, no Python object
 graph).  Later dispatches carry only interner flag
 deltas (:meth:`~repro.db.interning.ValueInterner.snapshot_flags`), id
-frontiers, and append/rebuild row deltas computed by
-:meth:`ShardedInstance.sync`.  Workers rebuild a :class:`ValueInternerView` —
-the is-string flag plane, never decoded values — whose watermark guards
-against a desynchronised dispatch.  The scatter/gather pool itself lives in
-:mod:`repro.core.fanout`.
+frontiers, and the row appends routed by :meth:`ShardedInstance.sync`.
+Workers rebuild a :class:`ValueInternerView` — the is-string flag plane,
+never decoded values — whose watermark guards against a desynchronised
+dispatch.  The scatter/gather pool itself lives in :mod:`repro.core.fanout`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence, cast
+from typing import Iterable, Sequence, cast
 
 from .index import AttributeIndex, ValueIndex
 from .instance import DatabaseInstance
 from .interning import ValueId, ValueInterner
-from .overlay import OverlayRelation
-from .relation import RelationInstance
 from .schema import RelationSchema
 
 __all__ = [
@@ -59,7 +54,6 @@ __all__ = [
     "ValueInternerView",
     "merge_equality",
     "merge_membership",
-    "relation_stamp",
     "shard_of",
 ]
 
@@ -325,29 +319,15 @@ def merge_equality(
 
 
 class ShardedRelation:
-    """Parent-side router for one relation: K shards + dispatch bookkeeping.
+    """Parent-side router for one relation: K shards that only grow."""
 
-    ``generation`` counts full rebuilds (an overlay delta that rewrote or
-    dropped rows cannot be expressed as an append); the scatter pool compares
-    generations to decide between shipping a row delta and re-shipping the
-    whole shard wire.
-    """
+    __slots__ = ("schema", "shard_count", "routing_position", "shards")
 
-    __slots__ = ("schema", "shard_count", "routing_position", "shards", "generation")
-
-    def __init__(
-        self,
-        schema: RelationSchema,
-        shard_count: int,
-        *,
-        routing_position: int = 0,
-        generation: int = 0,
-    ) -> None:
+    def __init__(self, schema: RelationSchema, shard_count: int, *, routing_position: int = 0) -> None:
         self.schema = schema
         self.shard_count = shard_count
         self.routing_position = routing_position if schema.arity else 0
         self.shards = [RelationShard(schema.name, schema.arity, s) for s in range(shard_count)]
-        self.generation = generation
 
     def route_row(self, global_row: int, ids: Sequence[ValueId]) -> None:
         """Append one logical row to the shard its routing id hashes to."""
@@ -359,54 +339,7 @@ class ShardedRelation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = "/".join(str(len(shard)) for shard in self.shards)
-        return f"ShardedRelation({self.schema.name!r}, rows {counts}, gen {self.generation})"
-
-
-# --------------------------------------------------------------------------- #
-# relation stamps: which in-place mutations can be expressed as appends
-# --------------------------------------------------------------------------- #
-def relation_stamp(relation: RelationInstance | OverlayRelation) -> tuple[object, ...]:
-    """Per-relation mutation stamp mirroring the instances' own stamps.
-
-    Plain relations are insert-only, so the row count witnesses every
-    mutation; overlays add their delta composition (the same facts
-    :meth:`repro.db.overlay.OverlayInstance.mutation_stamp` records).
-    Caches derived from one relation (the shards here, the similarity
-    scoring state of :mod:`repro.core.session`) compare it to stay current.
-    """
-    if isinstance(relation, OverlayRelation):
-        return (
-            "overlay",
-            len(relation.base),
-            len(relation._replaced),
-            len(relation._dropped),
-            len(relation._added),
-        )
-    return ("plain", len(relation))
-
-
-def _logical_rows(
-    relation: RelationInstance | OverlayRelation,
-) -> Iterator[tuple[int, tuple[ValueId, ...]]]:
-    """``(row handle, id row)`` pairs in ascending handle order.
-
-    Handles are exactly the row numbers the relation's own probes answer in
-    (overlay added rows are numbered after the base's physical rows), so
-    shard probe results address the same rows ``tuple_at`` and
-    ``canonical_rows`` resolve.
-    """
-    if isinstance(relation, OverlayRelation):
-        base_len = len(relation.base)
-        added_index = 0
-        for row, ids in relation.logical_ids():
-            if row is None:
-                yield base_len + added_index, cast("tuple[ValueId, ...]", tuple(ids))
-                added_index += 1
-            else:
-                yield row, cast("tuple[ValueId, ...]", tuple(ids))
-    else:
-        for row in range(len(relation)):
-            yield row, relation.row_ids(row)
+        return f"ShardedRelation({self.schema.name!r}, rows {counts})"
 
 
 class ShardedInstance:
@@ -414,12 +347,11 @@ class ShardedInstance:
 
     The parent keeps the full instance (it remains the correctness backstop
     for mid-depth probes and everything value-level); this object is the
-    partitioned probe plane built next to it.  Construction walks each
-    relation's logical id rows once and routes them; :meth:`sync` re-checks
-    the cheap per-relation stamps and routes *only* what changed — appended
-    rows extend their shards in place, while an overlay delta that rewrote
-    or dropped rows rebuilds that relation's shards under a new generation.
-    Routing hashes value ids, and the wire forms ship ``array('q')`` buffers.
+    partitioned probe plane built next to it.  Construction routes each
+    relation's id rows once; :meth:`sync` compares each relation's row count
+    with the rows already routed and routes *only* the new rows, which
+    extend their shards in place.  Routing hashes value ids, and the wire
+    forms ship ``array('q')`` buffers.
     """
 
     def __init__(
@@ -435,7 +367,8 @@ class ShardedInstance:
         self.shard_count = shard_count
         self._routing = dict(routing_positions or {})
         self._relations: dict[str, ShardedRelation] = {}
-        self._stamps: dict[str, tuple[object, ...]] = {}
+        #: relation name → number of its rows routed into the shards.
+        self._routed: dict[str, int] = {}
         self.sync()
 
     @property
@@ -452,74 +385,27 @@ class ShardedInstance:
     def sync(self) -> bool:
         """Bring the shards current with the backing database; True if anything moved.
 
-        Cheap when nothing changed (one stamp comparison per relation).
-        Append-only growth — new rows in a plain relation, new ``added``
-        rows in an overlay whose replaced/dropped delta is unchanged — is
-        routed incrementally; any other delta change rebuilds that
-        relation's shards under a bumped generation.
+        Cheap when nothing changed (one row-count comparison per relation).
+        Relations are insert-only, so the rows past the routed count are
+        exactly the rows written since, and only they are routed.
         """
         changed = False
         for name, relation in self.database.relations().items():
-            stamp = relation_stamp(relation)
-            previous = self._stamps.get(name)
-            if stamp == previous:
+            routed = self._routed.get(name)
+            count = len(relation)
+            if routed == count:
                 continue
             changed = True
-            if previous is not None and self._extends(previous, stamp):
-                self._extend(name, relation, previous)
-            else:
-                self._build(name, relation)
-            self._stamps[name] = stamp
-        return changed
-
-    @staticmethod
-    def _extends(previous: tuple[object, ...], stamp: tuple[object, ...]) -> bool:
-        """Whether the mutation *previous* → *stamp* is pure row appends."""
-        if previous[0] == "plain" and stamp[0] == "plain":
-            return cast(int, stamp[1]) >= cast(int, previous[1])
-        if stamp[0] != "overlay":
-            return False
-        _, base_len, replaced, dropped, added = stamp
-        if previous[0] == "plain":
-            # A plain relation wrapped by its first overlay insert: the base
-            # is the old relation, so only pure appends can have happened.
-            return base_len == previous[1] and replaced == 0 and dropped == 0
-        return (
-            previous[1] == base_len
-            and previous[2] == replaced
-            and previous[3] == dropped
-            and cast(int, added) >= cast(int, previous[4])
-        )
-
-    def _build(self, name: str, relation: RelationInstance | OverlayRelation) -> None:
-        previous = self._relations.get(name)
-        sharded = ShardedRelation(
-            relation.schema,
-            self.shard_count,
-            routing_position=self._routing.get(name, 0),
-            generation=previous.generation + 1 if previous is not None else 0,
-        )
-        for global_row, ids in _logical_rows(relation):
-            sharded.route_row(global_row, ids)
-        self._relations[name] = sharded
-
-    def _extend(
-        self,
-        name: str,
-        relation: RelationInstance | OverlayRelation,
-        previous: tuple[object, ...],
-    ) -> None:
-        sharded = self._relations[name]
-        if isinstance(relation, OverlayRelation):
-            base_len = len(relation.base)
-            routed_added = cast(int, previous[4]) if previous[0] == "overlay" else 0
-            for index in range(routed_added, len(relation._added)):
-                sharded.route_row(
-                    base_len + index, cast("tuple[ValueId, ...]", relation._added[index])
+            sharded = self._relations.get(name)
+            if sharded is None:
+                sharded = ShardedRelation(
+                    relation.schema, self.shard_count, routing_position=self._routing.get(name, 0)
                 )
-        else:
-            for row in range(cast(int, previous[1]), len(relation)):
+                self._relations[name] = sharded
+            for row in range(routed or 0, count):
                 sharded.route_row(row, relation.row_ids(row))
+            self._routed[name] = count
+        return changed
 
     # ------------------------------------------------------------------ #
     # parent-side probe plane (the serial scatter and the test oracle)
@@ -553,8 +439,7 @@ class ShardedInstance:
         """Gather a plain instance back from the shard bases (the reference path).
 
         Rows are merged across shards in global order, so the result is
-        fingerprint-identical to materialising the backing database itself —
-        the property suite asserts this for plain and overlay bases alike.
+        fingerprint-identical to the backing database itself.
         """
         materialized = DatabaseInstance(self.database.schema)
         interner = self.interner

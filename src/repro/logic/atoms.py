@@ -51,11 +51,6 @@ class LiteralKind(enum.Enum):
     INEQUALITY = "inequality"
     REPAIR = "repair"
 
-    @property
-    def is_builtin(self) -> bool:
-        """Built-in literals are everything except schema-relation literals."""
-        return self is not LiteralKind.RELATION
-
 
 class ComparisonOp(enum.Enum):
     """Operators allowed inside a repair-literal condition."""

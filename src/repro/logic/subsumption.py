@@ -111,8 +111,10 @@ class SubsumptionChecker:
     ----------
     respect_repair_connectivity:
         Enforce the second bullet of Definition 4.4.  Disable to obtain plain
-        θ-subsumption that treats repair literals as ordinary binary atoms
-        (used by the MD-only fast path of coverage testing, Theorem 4.9).
+        θ-subsumption that treats repair literals as ordinary binary atoms.
+        Production code always enforces it: coverage testing, the MD-only
+        step of Theorem 4.9 included, proves through its engine's one
+        checker, built with the default.  Only tests disable it.
     condition_subset:
         When matching a repair literal of ``C`` against one of ``D``, require
         the substituted condition of ``C`` to be a *subset* of ``D``'s

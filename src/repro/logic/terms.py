@@ -137,10 +137,6 @@ class VariableFactory:
         self._counter = itertools.count()
         self._reserved = set(reserved)
 
-    def reserve(self, names: set[str] | frozenset[str]) -> None:
-        """Mark *names* as taken so they are never generated."""
-        self._reserved.update(names)
-
     def fresh(self, hint: str | None = None) -> Variable:
         """Return a fresh variable.
 

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the supervised shard worker pool.
 
 The supervision layer (:mod:`repro.core.supervision`) claims that a worker
-killed mid-dispatch, a chunk delayed past its deadline, a corrupted wire
-payload, or a dropped interner delta all recover to bit-identical results.
+killed mid-dispatch, a chunk delayed past its deadline, or a dropped
+interner delta all recover to bit-identical results.
 That claim is only testable if those faults can be *produced* — precisely,
 repeatably, at a chosen dispatch.  This module is the producer.
 
@@ -28,10 +28,6 @@ Fault mechanics (applied parent-side, to the shipped copy only):
   chunk.  Kill -9 semantics: no cleanup, no exception, a broken pool.
 * ``delay_at`` — a ``("delay", seconds)`` directive; the worker sleeps past
   its deadline, exercising the timeout-kill-recover path.
-* ``corrupt_wire_at`` — the first shard wire the chunk re-ships is replaced
-  with a structurally invalid marker, so the worker's decode raises loudly
-  (a ``desync`` fault).  The parent's shard is untouched — recovery
-  re-seeds the worker from its current wire.
 * ``drop_delta_at`` — the chunk's interner flag delta is suppressed after
   the parent's watermark already advanced: the worker's view develops a
   gap and the next reference beyond it fails loudly (``desync``), which
@@ -51,11 +47,6 @@ __all__ = ["CHAOS_ENV", "ChaosInjector", "ChaosSpec", "chaos_from_env"]
 #: Environment gate: a JSON object of :class:`ChaosSpec` fields.
 CHAOS_ENV = "REPRO_CHAOS"
 
-#: The marker a corrupted shard wire is replaced with: structurally invalid
-#: for the wire decoder (wrong tuple shape), so the worker fails loudly at
-#: registration instead of probing garbage.
-CORRUPT_WIRE = ("__chaos_corrupt_wire__",)
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -68,11 +59,10 @@ class ChaosSpec:
     kill_at: tuple[int, ...] = ()
     delay_at: tuple[int, ...] = ()
     delay_seconds: float = 5.0
-    corrupt_wire_at: tuple[int, ...] = ()
     drop_delta_at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("kill_at", "delay_at", "corrupt_wire_at", "drop_delta_at"):
+        for name in ("kill_at", "delay_at", "drop_delta_at"):
             ordinals = getattr(self, name)
             # JSON (the env gate) and hand-written specs may carry lists.
             if not isinstance(ordinals, tuple):
@@ -89,7 +79,6 @@ class ChaosSpec:
         *,
         kills: int = 1,
         delays: int = 0,
-        corruptions: int = 0,
         drops: int = 0,
         horizon: int = 8,
         delay_seconds: float = 5.0,
@@ -99,21 +88,20 @@ class ChaosSpec:
         Samples disjoint ordinals in ``[0, horizon)`` — the same seed always
         yields the same spec, so a seeded chaos run is exactly reproducible.
         """
-        total = kills + delays + corruptions + drops
+        total = kills + delays + drops
         if total > horizon:
             raise ValueError("horizon too small for the requested fault count")
         ordinals = random.Random(seed).sample(range(horizon), total)
         return cls(
             kill_at=tuple(sorted(ordinals[:kills])),
             delay_at=tuple(sorted(ordinals[kills : kills + delays])),
-            corrupt_wire_at=tuple(sorted(ordinals[kills + delays : kills + delays + corruptions])),
-            drop_delta_at=tuple(sorted(ordinals[kills + delays + corruptions :])),
+            drop_delta_at=tuple(sorted(ordinals[kills + delays :])),
             delay_seconds=delay_seconds,
         )
 
     @property
     def empty(self) -> bool:
-        return not (self.kill_at or self.delay_at or self.corrupt_wire_at or self.drop_delta_at)
+        return not (self.kill_at or self.delay_at or self.drop_delta_at)
 
 
 @dataclass(frozen=True)
@@ -122,11 +110,10 @@ class ChunkFaults:
 
     directive: tuple | None = None  # ("kill",) or ("delay", seconds), rides in the payload
     drop_delta: bool = False
-    corrupt_wire: bool = False
 
     @property
     def any(self) -> bool:
-        return self.directive is not None or self.drop_delta or self.corrupt_wire
+        return self.directive is not None or self.drop_delta
 
 
 class ChaosInjector:
@@ -163,10 +150,7 @@ class ChaosInjector:
         drop = ordinal in self.spec.drop_delta_at
         if drop:
             self.events.append(("drop-delta", ordinal))
-        corrupt = ordinal in self.spec.corrupt_wire_at
-        if corrupt:
-            self.events.append(("corrupt-wire", ordinal))
-        return ChunkFaults(directive=directive, drop_delta=drop, corrupt_wire=corrupt)
+        return ChunkFaults(directive=directive, drop_delta=drop)
 
     @property
     def chunks_seen(self) -> int:

@@ -140,15 +140,15 @@ class TestSaturationRecoveryIdentity:
         scatter = SaturationFanout(
             sharded,
             deadline_policy=_DEADLINES,
-            chaos=ChaosInjector(ChaosSpec(corrupt_wire_at=(0, 1), drop_delta_at=(2, 3))),
+            chaos=ChaosInjector(ChaosSpec(drop_delta_at=(0, 1, 2, 3))),
         )
         try:
             chase.attach_shard_scatter(scatter)
             reference = _make_chase(movie_problem, fast_config)
-            # Corrupt/drop ordinals only bite when a depth actually ships
-            # resets or deltas; over a static database the first depths ship
-            # neither, so this run must above all stay *identical* — and
-            # warning-free when nothing fired, loud when something did.
+            # Drop ordinals only bite when a depth actually ships an interner
+            # delta; over a static database the first depths ship none, so
+            # this run must above all stay *identical* — and warning-free
+            # when nothing fired, loud when something did.
             with warnings.catch_warnings(record=True) as captured:
                 warnings.simplefilter("always")
                 results = chase.relevant_many(ALL_EXAMPLES)

@@ -1,17 +1,13 @@
 """Verdict-cache invalidation on database mutation.
 
-The session-level verdict cache memoises (candidate, ground clause) proofs;
-before this fix it survived in-place delta mutation of an
-:class:`~repro.db.overlay.OverlayInstance` (a repair inserting tuples mutates
-the overlay's ``_added`` delta in place), serving verdicts computed against
-database state that no longer exists.  The coverage engine now stamps the
-database (:meth:`mutation_stamp`) and drops every derived cache — ground
-clauses, verdicts, saturation results, probe tables — when the stamp moves.
+The session-level verdict cache memoises (candidate, ground clause) proofs,
+which an insert into the database makes stale.  The coverage engine stamps
+the database (:meth:`mutation_stamp`, per-relation row counts: ``insert`` is
+the only in-place write) and drops every derived cache — ground clauses,
+verdicts, saturation results, probe tables — when the stamp moves.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import (
     BottomClauseBuilder,
@@ -26,7 +22,6 @@ from repro.db import (
     AttributeType,
     DatabaseInstance,
     DatabaseSchema,
-    OverlayInstance,
     RelationSchema,
 )
 from repro.logic.subsumption import SubsumptionChecker
@@ -45,13 +40,13 @@ def tag_problem(database: DatabaseInstance) -> LearningProblem:
     )
 
 
-def tag_database(*, overlay: bool) -> DatabaseInstance:
+def tag_database() -> DatabaseInstance:
     schema = DatabaseSchema.of(
         RelationSchema.of("r", [("id", AttributeType.STRING), ("v", AttributeType.STRING)])
     )
     database = DatabaseInstance(schema)
     database.insert("r", ("e1", "good"))
-    return OverlayInstance.over(database) if overlay else database
+    return database
 
 
 def tag_engine(problem: LearningProblem) -> CoverageEngine:
@@ -62,35 +57,23 @@ def tag_engine(problem: LearningProblem) -> CoverageEngine:
 
 class TestMutationStamp:
     def test_plain_instance_stamp_moves_on_insert_only(self):
-        database = tag_database(overlay=False)
+        database = tag_database()
         stamp = database.mutation_stamp()
         list(database.relation("r").tuples())  # reads leave the stamp alone
         assert database.mutation_stamp() == stamp
         database.insert("r", ("e3", "bad"))
         assert database.mutation_stamp() != stamp
 
-    def test_overlay_stamp_moves_on_in_place_delta_insert(self):
-        overlay = tag_database(overlay=True)
-        stamp = overlay.mutation_stamp()
-        assert overlay.mutation_stamp() == stamp
-        # OverlayInstance.insert wraps the base relation in place and appends
-        # to the overlay's _added delta; the base row count never changes, so
-        # the stamp must witness the delta composition itself.
-        overlay.insert("r", ("e2", "good"))
-        assert len(overlay.base.relation("r")) == 1
-        assert overlay.mutation_stamp() != stamp
-
 
 class TestVerdictCacheInvalidation:
-    @pytest.mark.parametrize("overlay", [True, False], ids=["overlay", "plain"])
-    def test_repair_insert_flips_the_cached_verdict(self, overlay):
-        database = tag_database(overlay=overlay)
+    def test_repair_insert_flips_the_cached_verdict(self):
+        database = tag_database()
         engine = tag_engine(tag_problem(database))
         candidate = engine.builder.build(POS_E1, ground=False)
         # Settle the verdicts: e1 is covered, the untagged e2 is not.
         assert engine.batch_covers(candidate, [POS_E1, NEG_E2]) == [True, False]
-        # The repair: tag e2 like e1 (an in-place delta mutation when the
-        # database is an overlay).  Every derived cache is now stale.
+        # The repair: tag e2 like e1 in place.  Every derived cache is now
+        # stale.
         database.insert("r", ("e2", "good"))
         assert engine.batch_covers(candidate, [POS_E1, NEG_E2]) == [True, True]
 

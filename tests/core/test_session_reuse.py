@@ -11,8 +11,10 @@ contracts:
   isolated fits learn;
 * a preparation is rejected when offered to a session over a different
   database instance;
-* a write to an MD's relation re-scores that MD's cached pairs, and a write
-  anywhere else re-scores nothing;
+* a write to an MD's relation re-scores that MD's cached pairs and rebuilds
+  the served evaluation sessions built before it, and a write anywhere else
+  re-scores nothing;
+* a session built after a write sees it in the shared probe cache;
 * a dropped session's coverage engine, and a dropped model's compiled
   clause forms, are freed by refcounting alone, so their caches do not wait
   for the cyclic collector.
@@ -236,6 +238,32 @@ class TestWritesToMdColumns:
         )
         assert "Superbad!" in pooled[md.name].partners_of("Superbad")
         assert _indexes_equal(pooled, fresh)
+
+    def test_served_session_follows_an_insert_into_an_md_relation(self, dirty_world, fast_config):
+        problem = dirty_world.problem()
+        model = DLearn(fast_config).fit(problem)
+        examples = problem.examples.all()
+        model.predict(examples)  # memoise the served evaluation session
+        database = problem.database
+        names = sorted(name for name in database.relation("syn_a_entities").distinct_values("name") if name)
+        for number, name in enumerate(names):
+            variant = name[:-1] + ("x" if name[-1] != "x" else "y")
+            database.insert("syn_b_entities", (f"b_variant{number}", variant))
+
+        served = model.session.evaluation_session(examples).engine
+        fresh = model.fresh_engine_for(examples)
+        assert [served.ground_bottom_clause(e) for e in examples] == [
+            fresh.ground_bottom_clause(e) for e in examples
+        ]
+        assert model.predict(examples) == fresh.batch_predicts_positive(model.definition.clauses, examples)
+
+    def test_session_built_after_a_write_sees_current_value_frequencies(self, movie_problem, fast_config):
+        session = LearningSession(movie_problem, fast_config)
+        comedy = movie_problem.database.id_of("comedy")
+        before = session.chase.probes.value_frequency(comedy)
+        movie_problem.database.insert("mov2genres", ("m9", "comedy"))
+        later = session.for_examples(movie_problem.examples)
+        assert later.chase.probes.value_frequency(comedy) == before + 1
 
 
 class TestRelease:

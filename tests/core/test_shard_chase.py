@@ -9,7 +9,7 @@ relevant tuples, similarity evidence, learned definitions and predictions
 cannot depend on the shard count.  This suite pins that identity against the
 uncached :func:`repro.testing.oracles.relevant_serial` oracle, exercises the
 session wiring (memoised scatter planes, loud structural fallbacks) and covers
-overlay-delta mutation mid-session.
+an insert into the database mid-session.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.core import DLearnConfig, FrontierChase, LearningSession
 from repro.core.fanout import SaturationFanout, SerialShardScatter
 from repro.core.problem import Example
 from repro.core.session import DatabasePreparation
-from repro.db.overlay import OverlayInstance
 from repro.db.sharding import ShardedInstance
 from repro.testing.oracles import relevant_serial
 
@@ -188,21 +187,22 @@ class TestFallback:
             chase.relevant_many(ALL_EXAMPLES)
 
 
-class TestOverlayMutationMidSession:
-    def test_overlay_insert_mid_session_stays_identical(self, movie_problem, fast_config):
-        overlay = OverlayInstance(movie_problem.database)
-        problem = movie_problem.with_database(overlay)
+class TestInsertMidSession:
+    def test_insert_mid_session_stays_identical(self, movie_problem, fast_config):
+        database = movie_problem.database.copy()
+        problem = movie_problem.with_database(database)
         chase = make_chase(problem, fast_config)
-        chase.attach_shard_scatter(SerialShardScatter(ShardedInstance(overlay, 3)))
+        chase.attach_shard_scatter(SerialShardScatter(ShardedInstance(database, 3)))
         before = chase.relevant_many(ALL_EXAMPLES)
         for relevant, example in zip(before, ALL_EXAMPLES):
             assert_same_relevant(relevant, relevant_serial(chase, example))
-        # In-place overlay delta: the scatter plane must pick the new rows up
+        # An insert in place: the scatter plane must pick the new row up
         # through its per-depth sync, after the session-level invalidation
-        # every in-place mutation already triggers.
-        overlay.insert("movies", ("m1", "Superbad Again", 2008))
+        # every in-place write already triggers.
+        database.insert("movies", ("m1", "Superbad Again", 2008))
         chase.invalidate()
         after = chase.relevant_many(ALL_EXAMPLES)
+        assert ("m1", "Superbad Again", 2008) in [t.values for t in after[0].tuples]
         fresh = make_chase(problem, fast_config)
         for scattered, plain in zip(after, fresh.relevant_many(ALL_EXAMPLES)):
             assert_same_relevant(scattered, plain)

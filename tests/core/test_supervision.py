@@ -265,10 +265,10 @@ class TestChaosSpec:
             ChaosSpec(delay_seconds=0.0)
 
     def test_seeded_specs_are_deterministic_and_disjoint(self):
-        one = ChaosSpec.seeded(7, kills=2, delays=2, corruptions=1, drops=1, horizon=12)
-        two = ChaosSpec.seeded(7, kills=2, delays=2, corruptions=1, drops=1, horizon=12)
+        one = ChaosSpec.seeded(7, kills=2, delays=2, drops=2, horizon=12)
+        two = ChaosSpec.seeded(7, kills=2, delays=2, drops=2, horizon=12)
         assert one == two
-        ordinals = one.kill_at + one.delay_at + one.corrupt_wire_at + one.drop_delta_at
+        ordinals = one.kill_at + one.delay_at + one.drop_delta_at
         assert len(set(ordinals)) == 6  # disjoint by construction
         assert not one.empty
         assert ChaosSpec().empty

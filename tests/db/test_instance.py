@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSchema, Tuple
 from repro.db.index import AttributeIndex, ValueIndex
@@ -218,6 +220,31 @@ class TestDatabaseInstance:
         assert replaced.value_frequency("movie-one") == 2
         assert tiny_db.value_frequency("m1") == 2  # original untouched
 
+    def test_duplicate_collapse_matches_eager_set_semantics(self):
+        # Replacing 'b'→'a' makes the two left rows identical; set semantics
+        # keep the first of them.
+        db = DatabaseInstance(DatabaseSchema.of(RelationSchema.of("left", ["key", "name", "tag"])))
+        db.insert_many("left", [("a", "a", "c"), ("b", "a", "c"), ("x", "y", "z")])
+        replaced = db.replace_value_globally("b", "a")
+        assert [t.values for t in replaced.relation("left")] == [("a", "a", "c"), ("x", "y", "z")]
+        assert replaced.relation("left").select_equal("key", "b") == []
+        assert [t.values[2] for t in replaced.relation("left").select_equal("key", "a")] == ["c"]
+        assert db.tuple_counts()["left"] == 3  # original untouched
+
+    def test_pre_existing_duplicates_collapse_on_global_replacement(self):
+        # A replacement that touches no row still applies set semantics to
+        # every relation, so duplicates stored before it collapse.
+        schema = DatabaseSchema.of(
+            RelationSchema.of("left", ["key", "name", "tag"]), RelationSchema.of("right", ["key", "label"])
+        )
+        db = DatabaseInstance(schema)
+        db.insert_many("left", [("a", "b", "c"), ("a", "b", "c")])
+        db.insert("right", ("z", "z"))
+        replaced = db.replace_value_globally("nope", "<fresh>")
+        assert replaced.tuple_counts() == {"left": 1, "right": 1}
+        assert replaced.relation("left").rows_with_value("a") == frozenset({0})
+        assert db.tuple_counts() == {"left": 2, "right": 1}
+
     def test_map_relation_and_with_rows(self, tiny_db):
         mapped = tiny_db.map_relation("genres", lambda t: t.replace_value("comedy", "Comedy"))
         assert mapped.value_frequency("Comedy") == 2
@@ -230,3 +257,54 @@ class TestDatabaseInstance:
         clone.insert("movies", ("m9", "Other", 1999))
         assert tiny_db.tuple_counts()["movies"] == 3
         assert clone.tuple_counts()["movies"] == 4
+
+
+VALUE = st.sampled_from(["a", "b", "c", "alpha", "x1", None])
+
+
+class TestRepairTransformations:
+    """``replace_value_globally`` / ``map_relation`` against a value-level rebuild."""
+
+    @staticmethod
+    def rebuilt(db: DatabaseInstance, rewrite) -> dict[str, list[tuple]]:
+        """Every relation's rewritten rows, duplicates dropped after their first."""
+        return {
+            name: list(dict.fromkeys(rewrite(name, t.values) for t in db.relation(name)))
+            for name in db.relation_names
+        }
+
+    @staticmethod
+    def contents(db: DatabaseInstance) -> dict[str, list[tuple]]:
+        return {name: [t.values for t in db.relation(name)] for name in db.relation_names}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        left=st.lists(st.tuples(VALUE, VALUE, VALUE), max_size=12),
+        right=st.lists(st.tuples(VALUE, VALUE), max_size=8),
+        old=VALUE,
+        target=VALUE,
+    )
+    def test_transformations_equal_a_value_level_rebuild(self, left, right, old, target):
+        schema = DatabaseSchema.of(
+            RelationSchema.of("left", ["key", "name", "tag"]), RelationSchema.of("right", ["key", "label"])
+        )
+        db = DatabaseInstance(schema)
+        db.insert_many("left", left)
+        db.insert_many("right", right)
+
+        def swap(values: tuple, find: object, put: object) -> tuple:
+            return tuple(put if value == find else value for value in values)
+
+        replaced = db.replace_value_globally(old, "<fresh>")
+        assert self.contents(replaced) == self.rebuilt(db, lambda _, values: swap(values, old, "<fresh>"))
+        mapped = db.map_relation("left", lambda tup: tup.replace_value(target, "<mapped>"))
+        assert self.contents(mapped) == {
+            "left": list(dict.fromkeys(swap(values, target, "<mapped>") for values in left)),
+            "right": right,
+        }
+        # Probes of the rebuilt storage agree with its contents.
+        for name in replaced.relation_names:
+            relation = replaced.relation(name)
+            for value in ("a", "<fresh>", None):
+                expected = [t.values for t in relation if value in t.values]
+                assert [relation.tuple_at(row).values for row in sorted(relation.rows_with_value(value))] == expected

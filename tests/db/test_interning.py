@@ -2,8 +2,10 @@
 
 Covers the value interner (round-trips, dense ids, the MISSING_ID contract),
 lazy tuple views, exact value round-trips through storage for non-string
-domains, probe answers on plain and overlay storage, and the ``stats()``
-reporting helper.
+domains through inserted and copied storage, probe answers on inserted
+storage and on storage a repair rebuilt
+(:meth:`~repro.db.instance.DatabaseInstance.map_relation`), and the
+``stats()`` reporting helper.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.db import (
     DatabaseInstance,
     DatabaseSchema,
     MISSING_ID,
-    OverlayInstance,
     RelationSchema,
     Tuple,
     ValueInterner,
@@ -157,8 +158,8 @@ class TestStorageRoundTrip:
             tuple(coerce_value(value, attribute.type) for value, attribute in zip(row, attributes))
             for row in rows
         ]
-        # Plain storage, and a copy-on-write overlay reading through it.
-        for db in (plain, OverlayInstance(plain)):
+        # Inserted storage, and a copy (columns and indexes duplicated).
+        for db in (plain, plain.copy()):
             stored = [tup.values for tup in db.relation("readings")]
             assert stored == coerced
             # Exact types too: 1 == 1.0 == True would hide a rewritten spelling.
@@ -170,8 +171,8 @@ class TestStorageRoundTrip:
         schema = DatabaseSchema.of(RelationSchema.of("movies", ["id", "title"]))
         plain = DatabaseInstance(schema)
         plain.insert_many("movies", [("m1", "Superbad"), ("m2", "Superbad"), ("m3", "Orphanage")])
-        # A copy-on-write overlay answers probes by patching its base's.
-        for db in (plain, OverlayInstance(plain)):
+        # Inserted storage, and the same rows rebuilt by a repair.
+        for db in (plain, plain.map_relation("movies", lambda tup: tup)):
             movies = db.relation("movies")
             assert [t.values[0] for t in movies.select_equal("title", "Superbad")] == ["m1", "m2"]
             assert movies.rows_with_value("Orphanage") == frozenset({2})

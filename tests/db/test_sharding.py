@@ -5,9 +5,8 @@ rows partition across shards, per-shard probe answers are disjoint ascending
 row sets keyed on global row numbers, and their merges equal the unsharded
 index answers key for key.  This suite pins those invariants directly —
 deterministic routing, wire-form round-trips, probe identity under hypothesis
-across seeds and shard counts, overlay-delta routing, incremental sync and
-fingerprint-identical materialisation — so the chase-level tests can lean on
-them.
+across seeds and shard counts, incremental sync and fingerprint-identical
+materialisation — so the chase-level tests can lean on them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.db.instance import DatabaseInstance
 from repro.db.interning import MISSING_ID, ValueId
-from repro.db.overlay import OverlayInstance
 from repro.db.schema import DatabaseSchema, RelationSchema
 from repro.db.sharding import (
     RelationShard,
@@ -210,47 +208,19 @@ class TestSync:
     def test_plain_growth_extends_without_rebuild(self):
         database = make_instance(20)
         sharded = ShardedInstance(database, 2)
-        generations = {
-            name: relation.generation for name, relation in sharded.shard_relations().items()
-        }
+        routers = dict(sharded.shard_relations())
+        shards = {name: list(relation.shards) for name, relation in routers.items()}
+        rows = sharded.stats()["rows"]
         database.relation("person").insert(("new-p", "c0", 1))
         assert sharded.sync() is True
         assert sharded.sync() is False
+        # The new row is appended to the existing shards; nothing is rebuilt.
+        assert sharded.stats()["rows"] == rows + 1
         for name, relation in sharded.shard_relations().items():
-            assert relation.generation == generations[name]
+            assert relation is routers[name]
+            assert all(new is old for new, old in zip(relation.shards, shards[name]))
         vid = database.interner.id_of("new-p")
         assert sharded.membership_table("person", [vid])[vid] == database.relation(
             "person"
         ).rows_with_id(vid)
-
-    def test_overlay_insert_extends_and_probes_match(self):
-        base = make_instance(20)
-        overlay = OverlayInstance(base)
-        sharded = ShardedInstance(overlay, 3)
-        overlay.insert("person", ("added-1", "c1", 0))
-        overlay.insert("person", ("added-2", "c2", 1))
-        assert sharded.sync() is True
-        relation = overlay.relations()["person"]
-        for value in ("added-1", "added-2", "c1"):
-            vid = overlay.interner.id_of(value)
-            assert sharded.membership_table("person", [vid])[vid] == relation.rows_with_id(vid)
-        assert sharded.materialize().content_fingerprint() == overlay.materialize().content_fingerprint()
-
-    def test_replacing_delta_rebuilds_with_new_generation(self):
-        base = make_instance(12)
-        overlay = OverlayInstance(base)
-        sharded = ShardedInstance(overlay, 2)
-        before = sharded.shard_relations()["person"].generation
-        # A transform that rewrites rows yields a *new* overlay around the
-        # same base; a sharded projection over it routes the rewritten rows
-        # by their new contents.
-        replaced = overlay.replace_value_globally("p0", "rewritten")
-        resharded = ShardedInstance(replaced, 2)
-        relation = replaced.relations()["person"]
-        vid = replaced.interner.id_of("rewritten")
-        assert resharded.membership_table("person", [vid])[vid] == relation.rows_with_id(vid)
-        assert resharded.materialize().content_fingerprint() == replaced.materialize().content_fingerprint()
-        # In-place mutation of the original overlay (insert) stays an extend.
-        overlay.insert("person", ("post", "c3", 1))
-        assert sharded.sync() is True
-        assert sharded.shard_relations()["person"].generation == before
+        assert sharded.materialize().content_fingerprint() == database.content_fingerprint()

@@ -21,7 +21,11 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 #: Seed-1 output digests of the workloads.
-PINNED = {"cv-dirty": "5103bf043296f444", "serve-churn": "bf33120218516d5c"}
+PINNED = {
+    "cv-dirty": "5103bf043296f444",
+    "predict-bulk": "5f7449ffdf2d143d",
+    "serve-churn": "bf33120218516d5c",
+}
 
 
 def check(workload: str) -> list[str]:
