@@ -4,7 +4,7 @@ Bottom-clause construction over dirty data, repair-literal machinery,
 generalisation, coverage testing, and the covering-loop learner.
 """
 
-from .bottom_clause import BottomClauseBuilder, ClauseAssembler, RelevantTuples, SimilarityEvidence
+from .bottom_clause import ClauseAssembler, RelevantTuples, SimilarityEvidence
 from .config import DLearnConfig
 from .coverage import CoverageEngine
 from .dlearn import DLearn, LearnedModel
@@ -31,7 +31,6 @@ from .repair_literals import (
 from .scoring import ClauseStats, score_clause
 
 __all__ = [
-    "BottomClauseBuilder",
     "ClauseAssembler",
     "ClauseStats",
     "CoverageEngine",

@@ -1,6 +1,6 @@
 """Bottom-clause construction (Algorithm 2).
 
-Given a training example ``e``, the builder gathers the tuples of the
+Given a training example ``e``, DLearn gathers the tuples of the
 database that are *relevant* to ``e`` — reachable from the example's
 constants through exact value matches or through approximate matches licensed
 by the matching dependencies — and turns them into the most specific clause
@@ -13,21 +13,19 @@ covering ``e``:
   (reduced, right-hand-side scheme by default — see
   :func:`repro.core.repair_literals.cfd_rhs_repair_literals`).
 
-The same builder produces *ground* bottom clauses (constants kept in place of
+The same components produce *ground* bottom clauses (constants kept in place of
 variables) which coverage testing subsumes learned clauses against
 (Section 4.3).
 
-The work is split between two cooperating components:
+The work is split between two components:
 
 * :class:`repro.core.saturation.FrontierChase` gathers the relevant tuples
-  (Algorithm 2, lines 1-12) — for many examples in one batched pass over the
-  database when driven through :meth:`BottomClauseBuilder.gather_relevant_many`;
-* :class:`ClauseAssembler` turns cached
+  (Algorithm 2, lines 1-12), for many examples in one batched pass over the
+  database through :meth:`~repro.core.saturation.FrontierChase.relevant_many`;
+* :class:`ClauseAssembler` holds the chase and turns its cached
   :class:`~repro.core.saturation.RelevantTuples` into the (ground) bottom
-  clause (Algorithm 2, line 13).
-
-:class:`BottomClauseBuilder` composes the two behind the interface the rest
-of the system (coverage engine, covering loop, tests) programs against.
+  clause (Algorithm 2, line 13).  :meth:`ClauseAssembler.bottom_clause` does
+  both for one example; the coverage engine and the covering loop call it.
 """
 
 from __future__ import annotations
@@ -38,13 +36,12 @@ from ..db.tuples import Tuple
 from ..logic.atoms import Literal, relation_literal
 from ..logic.clauses import HornClause
 from ..logic.terms import Constant, Term, VariableFactory
-from ..similarity.index import SimilarityIndex
 from .config import DLearnConfig
 from .problem import Example, LearningProblem
 from .repair_literals import cfd_rhs_repair_literals, md_repair_literals
 from .saturation import FrontierChase, RelevantTuples, SimilarityEvidence
 
-__all__ = ["BottomClauseBuilder", "ClauseAssembler", "RelevantTuples", "SimilarityEvidence"]
+__all__ = ["ClauseAssembler", "RelevantTuples", "SimilarityEvidence"]
 
 
 class ClauseAssembler:
@@ -63,14 +60,19 @@ class ClauseAssembler:
         Learner configuration; the assembler uses ``use_mds`` / ``use_cfds``
         and ``max_repair_groups_per_clause``.
     chase:
-        The frontier chase the tuples came from; consulted for the
-        chaseability test that decides which values act as join keys.
+        The frontier chase the tuples come from: :meth:`bottom_clause`
+        gathers through it, and its chaseability test decides which values
+        act as join keys.
     """
 
     def __init__(self, problem: LearningProblem, config: DLearnConfig, chase: FrontierChase) -> None:
         self.problem = problem
         self.config = config
         self.chase = chase
+
+    def bottom_clause(self, example: Example, *, ground: bool = False) -> HornClause:
+        """The (ground) bottom clause of *example*, gathered through the (cached) chase."""
+        return self.assemble(example, self.chase.relevant(example), ground=ground)
 
     def assemble(self, example: Example, relevant: RelevantTuples, *, ground: bool = False) -> HornClause:
         """Build the (ground) bottom clause of *example* from its relevant tuples.
@@ -189,67 +191,3 @@ class ClauseAssembler:
                     literals.extend(cfd_rhs_repair_literals(lhs_pairs, rhs_first, rhs_second, provenance))
                     groups_added += 1
         return literals
-
-
-class BottomClauseBuilder:
-    """Builds (ground) bottom clauses for training examples.
-
-    A thin facade over :class:`~repro.core.saturation.FrontierChase` (tuple
-    gathering, batched across examples) and :class:`ClauseAssembler` (clause
-    construction).  Learning sessions construct the two components themselves
-    so chases can share probe and saturation caches; constructing a builder
-    directly — the historical interface — wires up private ones.
-
-    Parameters
-    ----------
-    problem:
-        The learning problem (database, target, constraints, examples).
-    config:
-        Learner configuration (see the two components for the knobs used).
-    similarity_indexes:
-        Precomputed top-``k_m`` similarity indexes keyed by MD name (from
-        :meth:`repro.core.problem.LearningProblem.build_similarity_indexes`).
-    chase / assembler:
-        Pre-built components (supplied by :class:`repro.core.session.LearningSession`).
-    """
-
-    def __init__(
-        self,
-        problem: LearningProblem,
-        config: DLearnConfig,
-        similarity_indexes: dict[str, SimilarityIndex] | None = None,
-        *,
-        chase: FrontierChase | None = None,
-        assembler: ClauseAssembler | None = None,
-    ) -> None:
-        self.problem = problem
-        self.config = config
-        self.similarity_indexes = similarity_indexes or {}
-        self.chase = chase or FrontierChase(problem, config, self.similarity_indexes)
-        self.assembler = assembler or ClauseAssembler(problem, config, self.chase)
-
-    # ------------------------------------------------------------------ #
-    # relevant-tuple gathering (Algorithm 2, lines 1-12)
-    # ------------------------------------------------------------------ #
-    def gather_relevant(self, example: Example) -> RelevantTuples:
-        """Collect the tuples connected to *example* by exact or similarity matches.
-
-        Gathering is deterministic per example (the sampling RNG is seeded
-        from the example's values and the configured seed) and cached, so the
-        bottom clause and the ground bottom clause of the same example are
-        built from exactly the same relevant tuples — which is what makes the
-        bottom clause cover its own example (Proposition 4.3) under the
-        subsumption-based coverage test.
-        """
-        return self.chase.relevant(example)
-
-    def gather_relevant_many(self, examples: Sequence[Example]) -> list[RelevantTuples]:
-        """Gather relevant tuples for many examples in one batched chase."""
-        return self.chase.relevant_many(examples)
-
-    # ------------------------------------------------------------------ #
-    # clause construction (Algorithm 2, line 13)
-    # ------------------------------------------------------------------ #
-    def build(self, example: Example, *, ground: bool = False) -> HornClause:
-        """Build the (ground) bottom clause for *example* (see :meth:`ClauseAssembler.assemble`)."""
-        return self.assembler.assemble(example, self.chase.relevant(example), ground=ground)

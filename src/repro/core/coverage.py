@@ -51,6 +51,13 @@ the final coverage verdict of every (candidate clause, ground bottom clause,
 label semantics) triple is remembered, so the covering loop — which re-scores
 surviving candidates against the full example set round after round — never
 re-proves a pair it already settled.
+
+Ground clauses and verdicts hold only while the database stands still, and
+an instance can be written in place.  The engine's mutation-stamp check at
+the prepared-ground funnel is the session's one write check: it runs once
+per batch, drops the ground and verdict caches on a write and hands the
+rest to :meth:`~repro.core.saturation.FrontierChase.invalidate`, which
+knows what the chase derived from the database.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from typing import Iterable, Sequence
 from ..logic.clauses import HornClause
 from ..logic.compiled import CompiledGeneral, CompiledSpecific
 from ..logic.subsumption import SubsumptionChecker
-from .bottom_clause import BottomClauseBuilder
+from .bottom_clause import ClauseAssembler
 from .config import DLearnConfig
 from .problem import Example
 from .repair_literals import repaired_clauses
@@ -122,15 +129,19 @@ def _has_cfd_repairs(clause: HornClause) -> bool:
 
 
 class CoverageEngine:
-    """Computes example coverage for clauses with repair literals."""
+    """Computes example coverage for clauses with repair literals.
+
+    Ground bottom clauses come from *assembler*, which holds the session's
+    frontier chase.
+    """
 
     def __init__(
         self,
-        builder: BottomClauseBuilder,
+        assembler: ClauseAssembler,
         config: DLearnConfig,
         checker: SubsumptionChecker | None = None,
     ) -> None:
-        self.builder = builder
+        self.assembler = assembler
         self.config = config
         self.checker = checker if checker is not None else SubsumptionChecker()
         #: The compiler the checker prepares through: the cached ground forms
@@ -142,7 +153,7 @@ class CoverageEngine:
         #: verdicts derived from them) were built against.  An insert into
         #: the database silently invalidates every example-derived cache —
         #: the stamp check at the prepared-ground funnel detects it.
-        self._database = builder.problem.database
+        self._database = assembler.problem.database
         self._database_stamp = self._database.mutation_stamp()
         #: Guards verdict-cache and stamp writes.  Nothing in the library
         #: drives one engine from two threads, but the engine is
@@ -169,7 +180,7 @@ class CoverageEngine:
         per-example cache lookups of the covering loop stop re-hashing the
         example's strings (decoding happens only at clause construction).
         """
-        return self.builder.problem.database.intern_values(example.values)
+        return self._database.intern_values(example.values)
 
     def prepared_ground(self, example: Example) -> CompiledSpecific:
         """The example's ground bottom clause, prepared for repeated subsumption tests.
@@ -179,31 +190,35 @@ class CoverageEngine:
         values, so an example that appears with both labels (e.g. in
         noisy-label experiments) shares one prepared clause.
         """
-        self._refresh_if_mutated()
-        key = self._ground_key(example)
-        if key not in self._ground_cache:
-            self._ground_cache[key] = self.checker.prepare(self.builder.build(example, ground=True))
-        return self._ground_cache[key]
+        self.refresh_if_mutated()
+        return self._cached_ground(example)
 
     def prepared_grounds(self, examples: Sequence[Example]) -> list[CompiledSpecific]:
         """Prepared ground bottom clauses for many examples, saturating in one batch.
 
-        Uncached examples are gathered through the builder's batched
+        Uncached examples are gathered through the assembler's batched
         multi-example chase (one pass over the database indexes per chase
         depth) before clause preparation; cached examples are simply looked
         up.  Every batched entry point funnels through here, so the covering
-        loop, prediction and evaluation all saturate batch-wise.
+        loop, prediction and evaluation all saturate batch-wise, and the
+        write check runs once per batch.
         """
-        self._refresh_if_mutated()
+        self.refresh_if_mutated()
         missing = [example for example in examples if self._ground_key(example) not in self._ground_cache]
         if missing:
-            self.builder.gather_relevant_many(missing)
-        return [self.prepared_ground(example) for example in examples]
+            self.assembler.chase.relevant_many(missing)
+        return [self._cached_ground(example) for example in examples]
+
+    def _cached_ground(self, example: Example) -> CompiledSpecific:
+        key = self._ground_key(example)
+        if key not in self._ground_cache:
+            self._ground_cache[key] = self.checker.prepare(self.assembler.bottom_clause(example, ground=True))
+        return self._ground_cache[key]
 
     def ground_bottom_clause(self, example: Example) -> HornClause:
         return self.prepared_ground(example).clause
 
-    def _refresh_if_mutated(self) -> None:
+    def refresh_if_mutated(self) -> None:
         """Invalidate example-derived caches when the database changed underneath.
 
         Repairs produce *new* instances with their own engines, but an
@@ -211,8 +226,12 @@ class CoverageEngine:
         write), and a ground bottom clause — and every verdict proved from it
         — built before that write is stale.  The stamp comparison is a
         handful of integer reads per call, so it guards every prepared-ground
-        funnel entry; on mismatch the ground and verdict caches drop and the
-        chase's database-derived memos are invalidated with them.
+        funnel entry once; on mismatch the ground and verdict caches drop and
+        :meth:`~repro.core.saturation.FrontierChase.invalidate` drops what
+        the chase derived from the database.  This is the session's only
+        write check: the chase and the probe cache decide for themselves what
+        a write makes stale.  ``DLearn.fit`` calls it before its up-front
+        chase, so a session reused after a write serves no old results.
         """
         stamp = self._database.mutation_stamp()
         if stamp == self._database_stamp:
@@ -222,7 +241,7 @@ class CoverageEngine:
                 return
             self._ground_cache.clear()
             self._verdict_cache.clear()
-            self.builder.chase.invalidate()
+            self.assembler.chase.invalidate()
             self._database_stamp = stamp
 
     def clear_cache(self) -> None:

@@ -27,11 +27,12 @@ from typing import Sequence
 
 from ..logic.clauses import Definition, HornClause
 from ..logic.subsumption import SubsumptionChecker
-from .bottom_clause import BottomClauseBuilder
+from .bottom_clause import ClauseAssembler
 from .config import DLearnConfig
 from .coverage import CoverageEngine
 from .generalization import Generalizer, LearnedClause
 from .problem import Example, ExampleSet, LearningProblem
+from .saturation import FrontierChase
 from .scoring import ClauseStats
 from .session import DatabasePreparation, LearningSession
 
@@ -114,8 +115,9 @@ class LearnedModel:
             if self.config.use_mds
             else {}
         )
-        builder = BottomClauseBuilder(evaluation_problem, self.config, indexes)
-        return CoverageEngine(builder, self.config, SubsumptionChecker())
+        chase = FrontierChase(evaluation_problem, self.config, indexes)
+        assembler = ClauseAssembler(evaluation_problem, self.config, chase)
+        return CoverageEngine(assembler, self.config, SubsumptionChecker())
 
 
 class DLearn:
@@ -152,7 +154,7 @@ class DLearn:
 
         if session is None:
             session = self.session(problem, preparation=preparation)
-        builder = session.builder
+        assembler = session.assembler
         engine = session.engine
         generalizer = session.generalizer
 
@@ -163,14 +165,17 @@ class DLearn:
         clause_stats: list[ClauseStats] = []
 
         if uncovered:
+            # A reused session may have seen a write since its last batch:
+            # pass the engine's write check before the chase serves anything.
+            engine.refresh_if_mutated()
             # Saturate every training example in one batched chase up front;
             # all later bottom-clause and ground-clause requests hit the
             # session's saturation cache.
-            session.warm_saturation(positives + negatives)
+            session.chase.relevant_many(positives + negatives)
 
         while uncovered and len(definition) < config.max_clauses:
             seed = uncovered[0]
-            bottom_clause = builder.build(seed, ground=False)
+            bottom_clause = assembler.bottom_clause(seed)
             learned: LearnedClause = generalizer.learn_clause(bottom_clause, uncovered, negatives)
 
             if learned.stats.satisfies_criterion(config):

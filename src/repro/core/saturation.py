@@ -55,7 +55,7 @@ import warnings
 import zlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..db.instance import DatabaseInstance
 from ..db.interning import MISSING_ID
@@ -145,22 +145,25 @@ class DatabaseProbeCache:
     pass straight through to them (they stay methods because perfbench's
     tracer wraps them by name to count the chase's probes); what is
     memoised here are the cross-relation aggregates (value frequencies).
+
+    The cache validates itself against the database's mutation stamp:
+    every chase batch starts with :meth:`refresh`, which drops the memos
+    once after a write, however many sessions share the cache.
     """
 
     def __init__(self, database: DatabaseInstance) -> None:
         self.database = database
         #: value id → number of tuples containing it anywhere (chaseability).
         self._frequency: dict[object, int] = {}
+        #: Mutation stamp of the database the memos were computed against.
+        self._stamp = database.mutation_stamp()
 
-    def clear(self) -> None:
-        """Drop every memoised answer (the backing database was mutated in place).
-
-        The cache's purity argument assumes an unchanging instance; callers
-        that detect an in-place mutation (via
-        :meth:`repro.db.instance.DatabaseInstance.mutation_stamp`) clear the
-        memos so the next probe recomputes against the current contents.
-        """
-        self._frequency.clear()
+    def refresh(self) -> None:
+        """Drop the memos if the database was written since they were computed."""
+        stamp = self.database.mutation_stamp()
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self._frequency.clear()
 
     # -- global value frequency (drives the chaseability test) ---------- #
     def value_frequency(self, key: object) -> int:
@@ -267,6 +270,12 @@ class FrontierChase:
         probe results.
     cache:
         Shared :class:`SaturationCache` of finished results.
+    reindex:
+        Rebuilds the similarity indexes from the current database (sessions
+        pass the preparation's ``similarity_indexes_for`` bound to the
+        problem's MDs and examples).  With it, :meth:`invalidate` re-derives
+        the indexes after a write to an MD-matched relation; without it the
+        given indexes are kept as they are.
     """
 
     def __init__(
@@ -277,10 +286,18 @@ class FrontierChase:
         *,
         probes: DatabaseProbeCache | None = None,
         cache: SaturationCache | None = None,
+        reindex: Callable[[], dict[str, SimilarityIndex]] | None = None,
     ) -> None:
         self.problem = problem
         self.config = config
         self.similarity_indexes = similarity_indexes or {}
+        self._reindex = reindex
+        #: The database relations the MDs match, whose row counts (relations
+        #: are insert-only) tell :meth:`invalidate` whether the indexes and
+        #: partners are stale; empty when there is nothing to re-derive.
+        md_relations = {name for md in problem.mds for name in (md.left_relation, md.right_relation)}
+        self._md_relations = tuple(sorted(md_relations - {problem.target_name})) if reindex is not None else ()
+        self._md_rows = self._md_row_counts()
         self.probes = probes or DatabaseProbeCache(problem.database)
         self.cache = cache if cache is not None else SaturationCache()
         self._interner = problem.database.interner
@@ -325,6 +342,7 @@ class FrontierChase:
             if key not in self.cache and key not in pending:
                 pending[key] = example
         if pending:
+            self.probes.refresh()
             self._chase_batch(list(pending.items()))
         results = []
         for key in keys:
@@ -369,17 +387,28 @@ class FrontierChase:
         return self._scatter_counters
 
     def invalidate(self) -> None:
-        """Drop every database-derived memo after an in-place mutation.
+        """Drop what the chase derived from the database, after an in-place write.
 
         Relation-level caches (index entries, canonical-row maps) invalidate
-        themselves on insert; what this clears are the layers stacked above
-        the storage — finished chase results, the shared probe cache and the
-        chaseability memo, all of which assumed an unchanging instance.
-        Driven by the coverage engine's mutation-stamp check.
+        themselves on insert, and the shared probe cache refreshes itself at
+        the next batch; what this drops are the finished chase results and
+        the chaseability memo.  When the write moved an MD-matched relation,
+        the similarity indexes are re-derived through ``reindex`` and the
+        partner memo built from the old ones is emptied; other writes leave
+        both in place.  Driven by the coverage engine's mutation-stamp check.
         """
         self.cache.clear()
-        self.probes.clear()
         self._chaseable_memo.clear()
+        md_rows = self._md_row_counts()
+        if md_rows != self._md_rows:
+            assert self._reindex is not None
+            self._md_rows = md_rows
+            self.similarity_indexes = self._reindex()
+            self._partner_cache.clear()
+
+    def _md_row_counts(self) -> tuple[int, ...]:
+        database = self.problem.database
+        return tuple(len(database.relation(name)) for name in self._md_relations)
 
     # ------------------------------------------------------------------ #
     # the batched chase

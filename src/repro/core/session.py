@@ -22,17 +22,26 @@ exact, not approximate.  Unseen values (e.g. a new test fold's titles) are
 scored incrementally on first sight instead of triggering a full rebuild.
 
 ``LearningSession`` — keyed to one (problem, config) pair.  Owns the
-similarity indexes for the problem's example set, the batched
-:class:`~repro.core.saturation.FrontierChase` with its saturation cache, the
-bottom-clause builder, the coverage engine and the generalizer.
+batched :class:`~repro.core.saturation.FrontierChase` (with the similarity
+indexes for the problem's example set and its saturation cache), the clause
+assembler, the coverage engine and the generalizer.
 ``evaluation_session`` derives (and memoises) sessions for fresh example sets
 — prediction calls, test folds — that share the preparation, so consecutive
 predictions never rebuild indexes and never re-probe the database.
+
+Each piece of state is kept current across in-place writes by the component
+that derives it; the session itself checks nothing.  The coverage engine's
+mutation-stamp check is the one write funnel: on a write it drops its ground
+clauses and verdicts and invalidates the chase, which re-derives its
+similarity indexes only when an MD-matched relation grew.  The probe cache
+and the per-MD scoring caches compare the database's stamp or row counts
+themselves.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -47,7 +56,7 @@ from ..similarity.composite import SimilarityOperator
 from ..similarity.index import SimilarityIndex, SimilarityMatch
 from ..similarity.qgrams import QGramBlocker
 from ..testing.chaos import ChaosInjector, ChaosSpec
-from .bottom_clause import BottomClauseBuilder, ClauseAssembler
+from .bottom_clause import ClauseAssembler
 from .config import DLearnConfig
 from .coverage import CoverageEngine
 from .fanout import SaturationFanout, SerialShardScatter
@@ -264,8 +273,6 @@ class DatabasePreparation:
         self.target = target
         self.operator = operator or SimilarityOperator()
         self.probes = DatabaseProbeCache(database)
-        #: Mutation stamp of the database when :attr:`probes` was last known current.
-        self._probes_stamp = database.mutation_stamp()
         #: Shared θ-subsumption clause compiler: term ids are only meaningful
         #: relative to one interner, so every session over this database (the
         #: covering loop, prediction batches, cross-validation folds) compiles
@@ -279,19 +286,6 @@ class DatabasePreparation:
     @classmethod
     def from_problem(cls, problem: LearningProblem) -> "DatabasePreparation":
         return cls(problem.database, problem.target, problem.similarity_operator)
-
-    def current_probes(self) -> DatabaseProbeCache:
-        """The shared probe cache, cleared first if the database was written since.
-
-        A session's coverage engine clears the probes when it sees a write,
-        but a session built after the write starts at the new stamp and
-        never would; every session therefore takes the probes from here.
-        """
-        stamp = self.database.mutation_stamp()
-        if stamp != self._probes_stamp:
-            self.probes.clear()
-            self._probes_stamp = stamp
-        return self.probes
 
     # ------------------------------------------------------------------ #
     def sharded_instance(self, shard_count: int) -> ShardedInstance:
@@ -386,8 +380,8 @@ class DatabasePreparation:
 class LearningSession:
     """All prepared state for learning and evaluating one (problem, config) pair.
 
-    Owns the similarity indexes, the batched frontier chase with its
-    saturation cache, the bottom-clause builder, the coverage engine and the
+    Owns the batched frontier chase with its similarity indexes and
+    saturation cache, the clause assembler, the coverage engine and the
     generalizer; the covering loop, prediction, and the evaluation harness
     all drive the *same* objects instead of rebuilding them per call.
 
@@ -417,34 +411,30 @@ class LearningSession:
         self.problem = problem
         self.config = config
         self.preparation = preparation or DatabasePreparation.from_problem(problem)
-        #: The database relations the MDs match: the similarity indexes are
-        #: built from their contents as of :attr:`_md_rows`.
-        md_relations = {name for md in problem.mds for name in (md.left_relation, md.right_relation)}
-        self._md_relations = tuple(sorted(md_relations - {problem.target_name})) if config.use_mds else ()
-        self._md_rows = self._md_relation_rows()
-        self.similarity_indexes: dict[str, SimilarityIndex] = (
-            self.preparation.similarity_indexes_for(
+        # Bound to the preparation, not to the session, so the chase can
+        # re-derive its indexes after a write without a reference cycle.
+        reindex = (
+            partial(
+                self.preparation.similarity_indexes_for,
                 problem.mds,
                 problem.examples,
                 top_k=config.top_k_matches,
                 threshold=config.similarity_threshold,
             )
             if config.use_mds
-            else {}
+            else None
         )
         self.chase = FrontierChase(
             problem,
             config,
-            self.similarity_indexes,
-            probes=self.preparation.current_probes(),
+            reindex() if reindex is not None else None,
+            probes=self.preparation.probes,
             cache=SaturationCache(),
+            reindex=reindex,
         )
         self.assembler = ClauseAssembler(problem, config, self.chase)
-        self.builder = BottomClauseBuilder(
-            problem, config, self.similarity_indexes, chase=self.chase, assembler=self.assembler
-        )
         self.engine = CoverageEngine(
-            self.builder,
+            self.assembler,
             config,
             SubsumptionChecker(compiler=self.preparation.compiler),
         )
@@ -471,10 +461,6 @@ class LearningSession:
                 )
         self.generalizer = Generalizer(self.engine, config, Sampler(config.seed))
         self._evaluation_sessions: dict[frozenset, "LearningSession"] = {}
-
-    def _md_relation_rows(self) -> tuple[int, ...]:
-        database = self.problem.database
-        return tuple(len(database.relation(name)) for name in self._md_relations)
 
     # ------------------------------------------------------------------ #
     # derived sessions
@@ -504,16 +490,12 @@ class LearningSession:
         scored example sets stay memoised); the shared preparation keeps even
         an evicted set's similarity scoring and database probes warm.
 
-        A memoised session whose MD relations were written since it was built
-        is rebuilt: its similarity indexes and the chase's partner memo were
-        built from the old rows.  Writes to other relations cost only this
-        row-count comparison (the session's engine drops its own
-        database-derived caches on any write).
+        A memoised session stays valid across writes: its engine drops what
+        a write makes stale at its next batch (see
+        :meth:`~repro.core.saturation.FrontierChase.invalidate`).
         """
         key = frozenset(example.values for example in examples)
         session = self._evaluation_sessions.pop(key, None)
-        if session is not None and session._md_rows != session._md_relation_rows():
-            session = None
         if session is None:
             example_set = ExampleSet(
                 positives=[example for example in examples if example.positive],
@@ -524,13 +506,6 @@ class LearningSession:
                 self._evaluation_sessions.pop(next(iter(self._evaluation_sessions)))
         self._evaluation_sessions[key] = session  # (re-)insert at the LRU tail
         return session
-
-    # ------------------------------------------------------------------ #
-    # warm-up
-    # ------------------------------------------------------------------ #
-    def warm_saturation(self, examples: Sequence[Example]) -> None:
-        """Saturate *examples* in one batched chase (drop-in for lazy warm-up)."""
-        self.chase.relevant_many(examples)
 
     # ------------------------------------------------------------------ #
     # observability

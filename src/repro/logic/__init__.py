@@ -21,7 +21,6 @@ from .atoms import (
 )
 from .clauses import Definition, HornClause
 from .compiled import ClauseCompiler, CompiledGeneral, CompiledSpecific, TermInterner
-from .ordering import literal_sort_key, order_clause_body
 from .substitution import Substitution
 from .subsumption import SubsumptionChecker, SubsumptionResult, theta_subsumes
 from .terms import (
@@ -60,9 +59,7 @@ __all__ = [
     "inequality_literal",
     "is_constant",
     "is_variable",
-    "literal_sort_key",
     "matched_constant",
-    "order_clause_body",
     "relation_literal",
     "repair_literal",
     "similarity_literal",

@@ -15,7 +15,7 @@ generalisation step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Literal, LiteralKind
 from .substitution import Substitution
@@ -29,10 +29,10 @@ class HornClause:
     """A definite Horn clause ``head ← body``.
 
     The body is stored as a tuple to preserve the construction order — the
-    generalisation algorithm (Section 4.2) relies on a total order over body
-    literals when searching for blocking literals.  Equality ignores the
-    order: two clauses with the same head and the same *set* of body literals
-    are equal.
+    generalisation algorithm (Section 4.2) searches for blocking literals in
+    derivation order (see :meth:`repro.core.generalization.Generalizer.armg`).
+    Equality ignores the order: two clauses with the same head and the same
+    *set* of body literals are equal.
     """
 
     head: Literal
@@ -258,11 +258,6 @@ class HornClause:
             return f"{self.head}."
         body = ", ".join(str(lit) for lit in self.body)
         return f"{self.head} :- {body}."
-
-    def sort_body(self, key: Callable[[Literal], object]) -> "HornClause":
-        """Return a copy with the body sorted by *key* (used to impose the
-        total order required by the generalisation algorithm)."""
-        return HornClause(self.head, tuple(sorted(self.body, key=key)))
 
 
 @dataclass

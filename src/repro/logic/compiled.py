@@ -684,7 +684,6 @@ class CompiledSearch:
         "assignment",
         "steps",
         "max_steps",
-        "condition_subset",
         "require_connectivity",
     )
 
@@ -693,7 +692,6 @@ class CompiledSearch:
         cg: CompiledGeneral,
         cs: CompiledSpecific,
         *,
-        condition_subset: bool,
         max_steps: int | None,
         steps: int = 0,
     ) -> None:
@@ -704,7 +702,6 @@ class CompiledSearch:
         self.assignment: dict[int, int] = {}
         self.steps = steps
         self.max_steps = max_steps
-        self.condition_subset = condition_subset
         self.require_connectivity = False
 
     # ------------------------------------------------------------------ #
@@ -979,13 +976,6 @@ class CompiledSearch:
 
     def condition_ok(self, cond: tuple[tuple[int, int, int], ...], spec_keys: frozenset | None) -> bool:
         keys = spec_keys if spec_keys is not None else frozenset()
-        if not self.condition_subset:
-            applied = set()
-            for op, left, right in cond:
-                lid, _ = self.substitute(left)
-                rid, _ = self.substitute(right)
-                applied.add((op, *_pair(lid, rid)))
-            return applied == keys
         for op, left, right in cond:
             lid, l_unbound = self.substitute(left)
             rid, r_unbound = self.substitute(right)

@@ -107,20 +107,15 @@ class SubsumptionChecker:
     concurrent searches must each use their own checker (as the per-thread
     default checker of :func:`theta_subsumes` does).
 
+    Two semantic choices are fixed.  The second bullet of Definition 4.4
+    (repair connectivity) is always enforced.  A repair literal of ``C``
+    matches one of ``D`` when the substituted condition of ``C`` is a
+    *subset* of ``D``'s condition, which is the right notion once
+    generalisation has dropped literals (and with them some of the
+    comparisons a condition referred to).
+
     Parameters
     ----------
-    respect_repair_connectivity:
-        Enforce the second bullet of Definition 4.4.  Disable to obtain plain
-        θ-subsumption that treats repair literals as ordinary binary atoms.
-        Production code always enforces it: coverage testing, the MD-only
-        step of Theorem 4.9 included, proves through its engine's one
-        checker, built with the default.  Only tests disable it.
-    condition_subset:
-        When matching a repair literal of ``C`` against one of ``D``, require
-        the substituted condition of ``C`` to be a *subset* of ``D``'s
-        condition instead of strictly equal.  Subset matching is the right
-        notion once generalisation has dropped literals (and with them some
-        of the comparisons a condition referred to).
     max_steps:
         Safety valve on the number of candidate-match attempts per search;
         ``None`` disables the limit.  When the limit is hit the clause pair
@@ -137,13 +132,9 @@ class SubsumptionChecker:
     def __init__(
         self,
         *,
-        respect_repair_connectivity: bool = True,
-        condition_subset: bool = True,
         max_steps: int | None = 100_000,
         compiler: ClauseCompiler | None = None,
     ) -> None:
-        self.respect_repair_connectivity = respect_repair_connectivity
-        self.condition_subset = condition_subset
         self.max_steps = max_steps
         self.compiler = compiler if compiler is not None else ClauseCompiler()
         self.stats = SearchStats()
@@ -209,27 +200,16 @@ class SubsumptionChecker:
         exactly as the reference engine charges it.
         """
         self.stats.checks += 1
-        search = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
+        search = CompiledSearch(cg, cs, max_steps=self.max_steps)
         if not search.seed_head():
             return None
         try:
             found = search.run()
-            if (
-                found
-                and self.respect_repair_connectivity
-                and cs.has_repairs
-                and not search.connectivity_ok()
-            ):
+            if found and cs.has_repairs and not search.connectivity_ok():
                 # Retry exhaustively for a witness satisfying Definition 4.4's
                 # connectivity requirement — the reference checker's retry,
                 # on the integer plane.
-                search = CompiledSearch(
-                    cg,
-                    cs,
-                    condition_subset=self.condition_subset,
-                    max_steps=self.max_steps,
-                    steps=search.steps,
-                )
+                search = CompiledSearch(cg, cs, max_steps=self.max_steps, steps=search.steps)
                 search.seed_head()
                 found = search.run_with_connectivity()
         except BudgetExceeded:
@@ -268,13 +248,13 @@ class SubsumptionChecker:
         # per retry exactly like the reference's).  Exhausting it drops the
         # literal under scan and everything after it — the conservative,
         # more-general outcome, mirrored step-for-step by the reference loop.
-        state = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
+        state = CompiledSearch(cg, cs, max_steps=self.max_steps)
         if not state.seed_head():
             return []
         # One head-only search state for the whole loop (the head mapping
         # never changes); each blocking probe rewinds it to the bare seed and
         # shares the greedy budget through explicit step syncing.
-        head_state = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
+        head_state = CompiledSearch(cg, cs, max_steps=self.max_steps)
         head_state.seed_head()
         head_mark = len(head_state.trail)
 
@@ -349,7 +329,7 @@ class SubsumptionChecker:
         outcome that drops the literal under test.
         """
         self.stats.retries += 1
-        retry = CompiledSearch(cg, cs, condition_subset=self.condition_subset, max_steps=self.max_steps)
+        retry = CompiledSearch(cg, cs, max_steps=self.max_steps)
         retry.seed_head()
         try:
             if retry.search(tuple(goal_idxs), cg.ordered_triples(comp_idxs), {}):

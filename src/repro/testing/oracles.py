@@ -157,9 +157,7 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
             theta, assignment = witness
 
             mapped = frozenset(assignment.values())
-            if self.respect_repair_connectivity and not self._repair_connectivity_ok(
-                prepared.clause, prepared.collapse, mapped
-            ):
+            if not self._repair_connectivity_ok(prepared.clause, prepared.collapse, mapped):
                 # Retry exhaustively for another witness satisfying the
                 # connectivity requirement.  Connectivity violations are rare
                 # in practice (they require an unmapped repair literal
@@ -339,11 +337,6 @@ class ReferenceSubsumptionChecker(SubsumptionChecker):
         as carried along by the mapping of the argument variables.
         """
         specific_comparisons = _condition_key_set(specific.condition)
-        if not self.condition_subset:
-            # ``Substitution`` duck-types the Mapping.get protocol that
-            # ``replace_terms`` relies on, so no per-comparison dict copy.
-            general_applied = {_comparison_key(c.replace_terms(theta)) for c in general.condition.comparisons}
-            return theta if general_applied == specific_comparisons else None
         for comparison in general.condition.comparisons:
             substituted = comparison.replace_terms(theta)
             if substituted_has_unbound(substituted, theta):
@@ -550,13 +543,13 @@ def install_reference_subsumption(session: LearningSession) -> LearningSession:
 
     The session's coverage engine and generalizer are rebuilt around a
     :class:`ReferenceSubsumptionChecker` sharing the preparation's compiler;
-    the chase, builder and similarity indexes are kept.  Sessions derived
+    the chase, assembler and similarity indexes are kept.  Sessions derived
     later (``for_examples``, ``evaluation_session``) use the production
     checker again.  Returns *session*.
     """
     config = session.config
     session.engine = CoverageEngine(
-        session.builder, config, ReferenceSubsumptionChecker(compiler=session.preparation.compiler)
+        session.assembler, config, ReferenceSubsumptionChecker(compiler=session.preparation.compiler)
     )
     session.generalizer = Generalizer(session.engine, config, Sampler(config.seed))
     return session
@@ -685,13 +678,15 @@ class _SerialFrontierChase(FrontierChase):
 def install_serial_chase(session: LearningSession) -> LearningSession:
     """Route *session*'s relevant-tuple gathering through :func:`relevant_serial`.
 
-    Replaces the session's chase (as seen by the session, its clause
-    assembler and its bottom-clause builder) with one that saturates each
-    example on the uncached reference path; results are identical, only the
-    cost profile differs.  Install before anything is saturated.  Sessions
+    Replaces the session's chase (as seen by the session and by its clause
+    assembler, through which the coverage engine reaches it) with one that
+    saturates each example on the uncached reference path; results are
+    identical, only the cost profile differs.  Install before anything is saturated.  Sessions
     derived later use the batched chase again.  Returns *session*.
     """
     chase = session.chase
-    serial = _SerialFrontierChase(chase.problem, chase.config, chase.similarity_indexes, probes=chase.probes)
-    session.chase = session.assembler.chase = session.builder.chase = serial
+    serial = _SerialFrontierChase(
+        chase.problem, chase.config, chase.similarity_indexes, probes=chase.probes, reindex=chase._reindex
+    )
+    session.chase = session.assembler.chase = serial
     return session

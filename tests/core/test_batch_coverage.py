@@ -22,7 +22,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.constraints import ConditionalFunctionalDependency, MatchingDependency
-from repro.core import BottomClauseBuilder, CoverageEngine, DLearnConfig, Example, ExampleSet, LearningProblem
+from repro.core import (
+    ClauseAssembler,
+    CoverageEngine,
+    DLearnConfig,
+    Example,
+    ExampleSet,
+    FrontierChase,
+    LearningProblem,
+)
 from repro.db import AttributeType, DatabaseInstance, DatabaseSchema, RelationSchema
 from repro.logic import Constant, HornClause, Variable, relation_literal, theta_subsumes
 from repro.logic.compiled import CompiledGeneral
@@ -55,8 +63,8 @@ def make_engine(problem, config) -> CoverageEngine:
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes)
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, indexes))
+    return CoverageEngine(assembler, config, SubsumptionChecker())
 
 
 @pytest.fixture
@@ -74,7 +82,7 @@ def candidate_clauses(engine: CoverageEngine) -> list[HornClause]:
         relation_literal("highGrossing", X),
         (relation_literal("mov2genres", X, Constant("drama")),),
     )
-    bottoms = [engine.builder.build(example, ground=False) for example in (POS_M1, POS_M2)]
+    bottoms = [engine.assembler.bottom_clause(example) for example in (POS_M1, POS_M2)]
     return [comedy, drama, *bottoms]
 
 
@@ -126,7 +134,7 @@ class TestClauseCaches:
         assert engine.batch_covers(prepared, ALL_EXAMPLES) == engine.batch_covers(clause, ALL_EXAMPLES)
 
     def test_md_projection_and_variants_are_cached(self, engine):
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         assert engine._md_projection_of(bottom) is engine._md_projection_of(bottom)
         assert engine._cfd_variants_of(bottom) is engine._cfd_variants_of(bottom)
 
@@ -135,7 +143,7 @@ class TestClauseCaches:
         prepared = engine.checker.prepare_general(clause)
         ground = engine.prepared_ground(POS_M1)
         engine.covers(clause, POS_M1)
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         engine._md_projection_of(bottom)
         engine._cfd_variants_of(bottom)
         engine.clear_cache()
@@ -228,8 +236,8 @@ def _property_engine() -> CoverageEngine:
         seed=0,
     )
     indexes = problem.build_similarity_indexes(top_k=config.top_k_matches, threshold=config.similarity_threshold)
-    builder = BottomClauseBuilder(problem, config, indexes)
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, indexes))
+    return CoverageEngine(assembler, config, SubsumptionChecker())
 
 
 _W = Variable("w")

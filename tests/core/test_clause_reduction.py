@@ -143,7 +143,7 @@ def test_movie_world_reductions_equal_greedy(movie_problem, fast_config):
 def test_widest_candidate_covering_a_new_negative_halves_the_block(movie_problem, fast_config):
     session = DLearn(fast_config).session(movie_problem)
     generalizer = session.generalizer
-    bottom = session.builder.build(Example(("m1",), True))
+    bottom = session.assembler.bottom_clause(Example(("m1",), True))
     movies = next(literal for literal in bottom.body if literal.predicate == "movies")
     # The movie, its cross-source gross evidence, and an incidental release
     # row joined only through the year: the gross evidence is what keeps
@@ -174,7 +174,7 @@ def capped_cfd_world():
         model = DLearn(config).fit(problem)
     session = model.session
     positives = list(problem.examples.positives)
-    bottoms = [session.builder.build(example) for example in positives]
+    bottoms = [session.assembler.bottom_clause(example) for example in positives]
     return session, problem, calls, bottoms
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BottomClauseBuilder, CoverageEngine, Example, Generalizer
+from repro.core import ClauseAssembler, CoverageEngine, Example, FrontierChase, Generalizer
 from repro.core.scoring import ClauseStats, score_clause
 from repro.db import Sampler
 from repro.logic import ClauseCompiler, Constant, HornClause, Variable, relation_literal
@@ -23,8 +23,8 @@ def engine(movie_problem, fast_config) -> CoverageEngine:
     indexes = movie_problem.build_similarity_indexes(
         top_k=fast_config.top_k_matches, threshold=fast_config.similarity_threshold
     )
-    builder = BottomClauseBuilder(movie_problem, fast_config, indexes)
-    return CoverageEngine(builder, fast_config, SubsumptionChecker())
+    assembler = ClauseAssembler(movie_problem, fast_config, FrontierChase(movie_problem, fast_config, indexes))
+    return CoverageEngine(assembler, fast_config, SubsumptionChecker())
 
 
 def comedy_clause() -> HornClause:
@@ -45,7 +45,7 @@ class TestCoverage:
     def test_bottom_clause_covers_its_own_example(self, engine):
         """Proposition 4.3."""
         for example in (POS_M1, POS_M2):
-            bottom = engine.builder.build(example, ground=False)
+            bottom = engine.assembler.bottom_clause(example)
             assert engine.covers(bottom, example)
 
     def test_simple_clause_coverage_matches_labels(self, engine):
@@ -73,7 +73,7 @@ class TestCoverage:
         first = engine.prepared_ground(POS_M1)
         second = engine.prepared_ground(POS_M1)
         assert first is second
-        assert first.clause == engine.builder.build(POS_M1, ground=True)
+        assert first.clause == engine.assembler.bottom_clause(POS_M1, ground=True)
         engine.clear_cache()
         assert not engine._ground_cache
         # The ground clause is rebuilt, and its compiled form is served from
@@ -91,7 +91,7 @@ class TestCoverage:
 
     def test_clause_using_md_join_covers_through_similarity(self, engine):
         """A clause requiring the BOM gross level only holds through the title MD."""
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         # Keep only the literals on the path highGrossing -> movies -> (MD) -> bom_gross.
         wanted_predicates = {"movies", "bom_movies", "bom_gross"}
         kept = tuple(
@@ -123,7 +123,7 @@ class TestClauseStats:
 class TestGeneralizer:
     def test_armg_produces_more_general_covering_clause(self, engine, fast_config):
         generalizer = Generalizer(engine, fast_config, Sampler(0))
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         generalized = generalizer.armg(bottom, POS_M2)
         assert len(generalized.body) <= len(bottom.body)
         assert engine.covers(generalized, POS_M1)
@@ -132,13 +132,13 @@ class TestGeneralizer:
 
     def test_armg_to_same_example_keeps_coverage(self, engine, fast_config):
         generalizer = Generalizer(engine, fast_config, Sampler(0))
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         same = generalizer.armg(bottom, POS_M1)
         assert engine.covers(same, POS_M1)
 
     def test_learn_clause_improves_score_and_meets_criterion(self, engine, fast_config):
         generalizer = Generalizer(engine, fast_config, Sampler(0))
-        bottom = engine.builder.build(POS_M1, ground=False)
+        bottom = engine.assembler.bottom_clause(POS_M1)
         learned = generalizer.learn_clause(bottom, [POS_M1, POS_M2], [NEG_M3, NEG_M4])
         assert learned.stats.positives_covered == 2
         assert learned.stats.negatives_covered == 0

@@ -18,7 +18,7 @@ import subprocess
 import sys
 
 from repro.constraints import MatchingDependency
-from repro.core import BottomClauseBuilder, CoverageEngine, Example
+from repro.core import ClauseAssembler, CoverageEngine, Example, FrontierChase
 from repro.core.repair_literals import (
     _expand_cluster,
     _variable_clusters,
@@ -102,8 +102,8 @@ def _make_engine(problem, config) -> CoverageEngine:
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes)
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, indexes))
+    return CoverageEngine(assembler, config, SubsumptionChecker())
 
 
 class TestSharedCacheLocking:
@@ -111,7 +111,7 @@ class TestSharedCacheLocking:
         engine = _make_engine(movie_problem, fast_config)
         probe = _LockAssertingDict(engine._verdict_lock, "CoverageEngine._verdict_cache")
         engine._verdict_cache = probe
-        candidate = engine.builder.build(POS_M1, ground=False)
+        candidate = engine.assembler.bottom_clause(POS_M1)
         engine.batch_covers(candidate, [POS_M1, POS_M2, NEG_M3])
         assert probe.writes >= 3
 
@@ -122,7 +122,7 @@ class TestSharedCacheLocking:
         specific_probe = _LockAssertingDict(compiler._lock, "ClauseCompiler._specific_cache")
         compiler._general_cache = general_probe
         compiler._specific_cache = specific_probe
-        candidate = engine.builder.build(POS_M1, ground=False)
+        candidate = engine.assembler.bottom_clause(POS_M1)
         engine.batch_covers(candidate, [POS_M1, POS_M2, NEG_M3])
         assert general_probe.writes >= 1
         assert specific_probe.writes >= 1

@@ -3,18 +3,19 @@
 The session-level verdict cache memoises (candidate, ground clause) proofs,
 which an insert into the database makes stale.  The coverage engine stamps
 the database (:meth:`mutation_stamp`, per-relation row counts: ``insert`` is
-the only in-place write) and drops every derived cache — ground clauses,
-verdicts, saturation results, probe tables — when the stamp moves.
+the only in-place write) and, when the stamp moves, drops its ground clauses
+and verdicts and invalidates the chase's saturation results.
 """
 
 from __future__ import annotations
 
 from repro.core import (
-    BottomClauseBuilder,
+    ClauseAssembler,
     CoverageEngine,
     DLearnConfig,
     Example,
     ExampleSet,
+    FrontierChase,
     LearningProblem,
     LearningSession,
 )
@@ -51,8 +52,8 @@ def tag_database() -> DatabaseInstance:
 
 def tag_engine(problem: LearningProblem) -> CoverageEngine:
     config = DLearnConfig(iterations=1, sample_size=4, top_k_matches=2, generalization_sample=2)
-    builder = BottomClauseBuilder(problem, config, {})
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, {}))
+    return CoverageEngine(assembler, config, SubsumptionChecker())
 
 
 class TestMutationStamp:
@@ -69,7 +70,7 @@ class TestVerdictCacheInvalidation:
     def test_repair_insert_flips_the_cached_verdict(self):
         database = tag_database()
         engine = tag_engine(tag_problem(database))
-        candidate = engine.builder.build(POS_E1, ground=False)
+        candidate = engine.assembler.bottom_clause(POS_E1)
         # Settle the verdicts: e1 is covered, the untagged e2 is not.
         assert engine.batch_covers(candidate, [POS_E1, NEG_E2]) == [True, False]
         # The repair: tag e2 like e1 in place.  Every derived cache is now

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BottomClauseBuilder, Example, FrontierChase, LearningSession, SaturationCache
+from repro.core import ClauseAssembler, Example, FrontierChase, LearningSession, SaturationCache
 from repro.testing.oracles import install_serial_chase, relevant_serial
 
 
@@ -90,14 +90,18 @@ class TestBatchedChaseEquivalence:
 
 
 class TestBuilderFacade:
+    """Bottom clauses are built by the clause assembler over the session's chase."""
+
     def test_builder_routes_through_chase(self, movie_problem, fast_config):
         indexes = movie_problem.build_similarity_indexes(
             top_k=fast_config.top_k_matches, threshold=fast_config.similarity_threshold
         )
-        builder = BottomClauseBuilder(movie_problem, fast_config, indexes)
-        gathered = builder.gather_relevant_many(ALL_EXAMPLES)
+        chase = FrontierChase(movie_problem, fast_config, indexes)
+        assembler = ClauseAssembler(movie_problem, fast_config, chase)
+        gathered = chase.relevant_many(ALL_EXAMPLES)
         for example, relevant in zip(ALL_EXAMPLES, gathered):
-            assert builder.gather_relevant(example) is relevant
+            assert chase.relevant(example) is relevant
+            assert assembler.bottom_clause(example) == assembler.assemble(example, relevant)
 
     def test_prepared_grounds_matches_individual_preparation(self, movie_problem, fast_config):
         session = LearningSession(movie_problem, fast_config)

@@ -11,9 +11,10 @@ contracts:
   isolated fits learn;
 * a preparation is rejected when offered to a session over a different
   database instance;
-* a write to an MD's relation re-scores that MD's cached pairs and rebuilds
-  the served evaluation sessions built before it, and a write anywhere else
-  re-scores nothing;
+* a write to an MD's relation re-scores that MD's cached pairs, and every
+  session built before it, the training session included, then serves what
+  a fresh session would; a write anywhere else re-scores nothing and keeps
+  the chases' similarity indexes;
 * a session built after a write sees it in the shared probe cache;
 * a dropped session's coverage engine, and a dropped model's compiled
   clause forms, are freed by refcounting alone, so their caches do not wait
@@ -185,6 +186,14 @@ def _indexes_equal(pooled: dict[str, SimilarityIndex], fresh: dict[str, Similari
     )
 
 
+def _insert_name_variants(database) -> None:
+    """Insert a one-letter variant of every A-side entity name on the B side of the name MD."""
+    names = sorted(name for name in database.relation("syn_a_entities").distinct_values("name") if name)
+    for number, name in enumerate(names):
+        variant = name[:-1] + ("x" if name[-1] != "x" else "y")
+        database.insert("syn_b_entities", (f"b_variant{number}", variant))
+
+
 class TestWritesToMdColumns:
     """The per-MD scoring caches follow writes to the MD's own relations."""
 
@@ -244,11 +253,7 @@ class TestWritesToMdColumns:
         model = DLearn(fast_config).fit(problem)
         examples = problem.examples.all()
         model.predict(examples)  # memoise the served evaluation session
-        database = problem.database
-        names = sorted(name for name in database.relation("syn_a_entities").distinct_values("name") if name)
-        for number, name in enumerate(names):
-            variant = name[:-1] + ("x" if name[-1] != "x" else "y")
-            database.insert("syn_b_entities", (f"b_variant{number}", variant))
+        _insert_name_variants(problem.database)
 
         served = model.session.evaluation_session(examples).engine
         fresh = model.fresh_engine_for(examples)
@@ -257,12 +262,68 @@ class TestWritesToMdColumns:
         ]
         assert model.predict(examples) == fresh.batch_predicts_positive(model.definition.clauses, examples)
 
+    def test_training_session_follows_an_insert_into_an_md_relation(self, dirty_world, fast_config):
+        problem = dirty_world.problem()
+        model = DLearn(fast_config).fit(problem)
+        assert model.definition.clauses
+        engine = model.session.engine
+        examples = problem.examples.all()
+        engine.prepared_grounds(examples)  # warm the training session's ground clauses
+        _insert_name_variants(problem.database)
+
+        fresh = LearningSession(problem, fast_config).engine
+        assert [engine.ground_bottom_clause(e) for e in examples] == [
+            fresh.ground_bottom_clause(e) for e in examples
+        ]
+        for clause in model.definition.clauses:
+            assert engine.batch_covers(clause, examples) == fresh.batch_covers(clause, examples)
+        reference = model.fresh_engine_for(examples)
+        assert model.predict(examples) == reference.batch_predicts_positive(model.definition.clauses, examples)
+
+    def test_refit_through_the_session_after_an_md_write_learns_the_fresh_definition(self, fast_config):
+        spec = ScenarioSpec(n_entities=24, n_positives=6, n_negatives=6, seed=5, md_drift=0.5)
+        problem = generate("synthetic", spec=spec).problem()
+        model = DLearn(fast_config).fit(problem)
+        _insert_name_variants(problem.database)
+        refit = DLearn(fast_config).fit(problem, session=model.session)
+        fresh = DLearn(fast_config).fit(problem)
+        assert [str(clause) for clause in refit.clauses] == [str(clause) for clause in fresh.clauses]
+
+    def test_write_no_md_matches_keeps_the_chase_indexes(self, dirty_world, fast_config, monkeypatch):
+        calls = {"indexes": 0}
+        original = DatabasePreparation.similarity_indexes_for
+
+        def counting_indexes_for(self, *args, **kwargs):
+            calls["indexes"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DatabasePreparation, "similarity_indexes_for", counting_indexes_for)
+        problem = dirty_world.problem()
+        model = DLearn(fast_config).fit(problem)
+        examples = problem.examples.all()
+        model.predict(examples)  # memoise the served evaluation session
+        chases = [model.session.chase, model.session.evaluation_session(examples).chase]
+        indexes = [dict(chase.similarity_indexes) for chase in chases]
+        assert all(indexes)
+        before = calls["indexes"]
+
+        problem.database.insert("syn_a_categories", ("a_new", "c0"))
+        model.session.engine.prepared_grounds(examples)
+        model.predict(examples)
+        assert calls["indexes"] == before
+        for chase, kept in zip(chases, indexes):
+            assert chase.similarity_indexes.keys() == kept.keys()
+            assert all(chase.similarity_indexes[name] is index for name, index in kept.items())
+
     def test_session_built_after_a_write_sees_current_value_frequencies(self, movie_problem, fast_config):
         session = LearningSession(movie_problem, fast_config)
         comedy = movie_problem.database.id_of("comedy")
         before = session.chase.probes.value_frequency(comedy)
         movie_problem.database.insert("mov2genres", ("m9", "comedy"))
         later = session.for_examples(movie_problem.examples)
+        # The shared probe cache refreshes itself at the first chase batch
+        # after the write.
+        later.chase.relevant_many(movie_problem.examples.all())
         assert later.chase.probes.value_frequency(comedy) == before + 1
 
 
@@ -272,7 +333,7 @@ class TestRelease:
     ):
         session = LearningSession(movie_problem, fast_config)
         examples = movie_problem.examples.all()
-        candidate = session.builder.build(examples[0], ground=False)
+        candidate = session.assembler.bottom_clause(examples[0])
         session.engine.batch_covers(candidate, examples)  # fill the engine's caches
         gc.collect()
         gc.disable()

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BottomClauseBuilder, CoverageEngine, DLearn, DLearnConfig, Example, LearningSession
+from repro.core import (
+    ClauseAssembler,
+    CoverageEngine,
+    DLearn,
+    DLearnConfig,
+    Example,
+    FrontierChase,
+    LearningSession,
+)
 from repro.data.registry import generate
 from repro.data.synthetic import ScenarioSpec
 from repro.logic.atoms import LiteralKind
@@ -34,8 +42,8 @@ def make_engine(problem, config, checker: SubsumptionChecker | None = None) -> C
     indexes = problem.build_similarity_indexes(
         top_k=config.top_k_matches, threshold=config.similarity_threshold
     )
-    builder = BottomClauseBuilder(problem, config, indexes)
-    return CoverageEngine(builder, config, checker or SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, indexes))
+    return CoverageEngine(assembler, config, checker or SubsumptionChecker())
 
 
 @pytest.fixture
@@ -45,7 +53,7 @@ def engine(movie_problem, fast_config) -> CoverageEngine:
 
 @pytest.fixture
 def candidate(engine) -> object:
-    return engine.builder.build(POS_M1, ground=False)
+    return engine.assembler.bottom_clause(POS_M1)
 
 
 class TestVerdictCache:
@@ -108,7 +116,7 @@ class TestCompiledWiring:
         compiled_engine = make_engine(movie_problem, fast_config)
         reference_engine = make_engine(movie_problem, fast_config, ReferenceSubsumptionChecker())
         examples = [POS_M1, POS_M2, NEG_M3]
-        candidate = compiled_engine.builder.build(POS_M1, ground=False)
+        candidate = compiled_engine.assembler.bottom_clause(POS_M1)
         assert compiled_engine.batch_covers(candidate, examples) == reference_engine.batch_covers(
             candidate, examples
         )

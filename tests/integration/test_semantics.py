@@ -15,7 +15,15 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import MatchingDependency, repairs_of
-from repro.core import BottomClauseBuilder, CoverageEngine, DLearnConfig, Example, ExampleSet, LearningProblem
+from repro.core import (
+    ClauseAssembler,
+    CoverageEngine,
+    DLearnConfig,
+    Example,
+    ExampleSet,
+    FrontierChase,
+    LearningProblem,
+)
 from repro.core.repair_literals import repaired_clauses
 from repro.db import AttributeType, ClauseEvaluator, DatabaseInstance, DatabaseSchema, RelationSchema
 from repro.logic.subsumption import SubsumptionChecker
@@ -79,8 +87,8 @@ def config() -> DLearnConfig:
 def engine(config) -> CoverageEngine:
     problem = tiny_problem()
     indexes = problem.build_similarity_indexes(top_k=2, threshold=0.6)
-    builder = BottomClauseBuilder(problem, config, indexes)
-    return CoverageEngine(builder, config, SubsumptionChecker())
+    assembler = ClauseAssembler(problem, config, FrontierChase(problem, config, indexes))
+    return CoverageEngine(assembler, config, SubsumptionChecker())
 
 
 class TestCoverageAgainstMaterializedRepairs:
@@ -108,13 +116,13 @@ class TestCoverageAgainstMaterializedRepairs:
     def test_bottom_clauses_agree_with_naive_semantics(self, engine, config):
         problem = tiny_problem()
         for example in problem.examples.positives:
-            bottom = engine.builder.build(example, ground=False)
+            bottom = engine.assembler.bottom_clause(example)
             assert engine.covers(bottom, example), "subsumption-based coverage must accept the own example"
             assert self._naive_covers(problem, bottom, example), "naive repair-based coverage must agree"
 
     def test_md_join_clause_agrees_on_all_examples(self, engine):
         problem = tiny_problem()
-        bottom = engine.builder.build(problem.examples.positives[0], ground=False)
+        bottom = engine.assembler.bottom_clause(problem.examples.positives[0])
         wanted = {"movies", "gross"}
         clause = bottom.without(
             [lit for lit in bottom.body if lit.is_relation and lit.predicate not in wanted]
@@ -127,7 +135,7 @@ class TestCoverageAgainstMaterializedRepairs:
     def test_repaired_clause_count_matches_stable_instance_structure(self, engine):
         """Each MD repair group yields exactly one unification choice (Example 3.2)."""
         problem = tiny_problem()
-        bottom = engine.builder.build(problem.examples.positives[0], ground=False)
+        bottom = engine.assembler.bottom_clause(problem.examples.positives[0])
         md_groups = {lit.provenance for lit in bottom.repair_literals}
         variants = repaired_clauses(bottom)
         assert len(variants) >= 1

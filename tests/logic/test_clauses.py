@@ -126,12 +126,6 @@ class TestRewriting:
         assert renamed.variables().isdisjoint(clause.variables())
         assert len(renamed.body) == len(clause.body)
 
-    def test_sort_body(self):
-        clause = clause_for_tests()
-        sorted_clause = clause.sort_body(lambda lit: lit.predicate)
-        assert sorted_clause == clause  # equality ignores order
-        assert [lit.predicate for lit in sorted_clause.body] == sorted(lit.predicate for lit in clause.body)
-
 
 class TestDefinition:
     def test_add_checks_target(self):

@@ -151,22 +151,6 @@ class TestCompiledEqualsReference:
             general, specific
         ) == reference_checker().retained_generalization(general, specific)
 
-    @settings(max_examples=100, deadline=None)
-    @given(CLAUSE_PAIRS)
-    def test_condition_equality_mode_agrees(self, pair):
-        general, specific = pair
-        compiled = compiled_checker(condition_subset=False).subsumes(general, specific)
-        reference = reference_checker(condition_subset=False).subsumes(general, specific)
-        assert compiled.subsumes == reference.subsumes
-
-    @settings(max_examples=100, deadline=None)
-    @given(CLAUSE_PAIRS)
-    def test_without_connectivity_requirement_agrees(self, pair):
-        general, specific = pair
-        compiled = compiled_checker(respect_repair_connectivity=False).subsumes(general, specific)
-        reference = reference_checker(respect_repair_connectivity=False).subsumes(general, specific)
-        assert compiled.subsumes == reference.subsumes
-
     def test_component_decomposition_handles_independent_join_chains(self):
         """Two chains sharing only the head variable solve as separate components."""
         general = HornClause(

@@ -160,10 +160,10 @@ class TestRepairLiterals:
                 repair_literal(B, C, Condition.of(Comparison(ComparisonOp.SIM, A, B)), provenance="md:m:0"),
             ),
         )
-        strict = SubsumptionChecker(respect_repair_connectivity=True)
-        loose = SubsumptionChecker(respect_repair_connectivity=False)
-        assert not strict.subsumes(general, specific).subsumes
-        assert loose.subsumes(general, specific).subsumes
+        checker = SubsumptionChecker()
+        assert not checker.subsumes(general, specific).subsumes
+        # Only the repair literal's connectivity blocks the witness.
+        assert checker.subsumes(general, specific.without(specific.repair_literals)).subsumes
 
     def test_repair_literal_condition_subset_matching(self):
         left_cond = Condition.of(Comparison(ComparisonOp.NEQ, X, Y))
@@ -308,7 +308,7 @@ class TestBudgetAndConnectivityRetry:
                 relation_literal("p", A, y2),  # repair-free alternative
             ),
         )
-        checker = SubsumptionChecker(respect_repair_connectivity=True)
+        checker = SubsumptionChecker()
         result = checker.subsumes(general, specific)
         assert result.subsumes
         assert result.theta is not None
@@ -325,10 +325,10 @@ class TestBudgetAndConnectivityRetry:
                 repair_literal(y1, u, Condition.of(Comparison(ComparisonOp.SIM, A, y1))),
             ),
         )
-        strict = SubsumptionChecker(respect_repair_connectivity=True)
-        loose = SubsumptionChecker(respect_repair_connectivity=False)
-        assert not strict.subsumes(general, specific).subsumes
-        assert loose.subsumes(general, specific).subsumes
+        checker = SubsumptionChecker()
+        assert not checker.subsumes(general, specific).subsumes
+        # Only the repair literal's connectivity blocks the witness.
+        assert checker.subsumes(general, specific.without(specific.repair_literals)).subsumes
 
 
 class TestRobustness:

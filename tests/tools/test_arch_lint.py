@@ -354,9 +354,9 @@ class TestCheckedInConfig:
     def test_ts01_allowlists_are_scoped_per_class(self):
         config = load_config()
         allow = config.rule_config("TS01").option("allow", {})
-        assert "prepared_ground" in allow.get("CoverageEngine", [])
+        assert "_cached_ground" in allow.get("CoverageEngine", [])
         assert "store" in allow.get("SaturationCache", [])
-        assert "prepared_ground" not in allow.get("SaturationCache", [])
+        assert "_cached_ground" not in allow.get("SaturationCache", [])
         # The checker builds its compiler in __init__, so it writes no shared
         # state outside an initialiser and needs no allowlist entry.
         assert "SubsumptionChecker" not in allow
